@@ -31,7 +31,6 @@ from .gram import (
     enumerate_posterior,
     model_averaged_beta,
     model_prior_log,
-    mse_of_fit,
     oracle_chain,
     pd_repair,
     privatize_gram,
@@ -52,13 +51,16 @@ from .linmodel import (
     zs_shrinkage,
 )
 from .mechanisms import (
-    NoiseDraw,
+    LaplaceGramLaw,
+    NoiseScale,
     PrivacyBudget,
     Sensitivity,
+    WishartGramLaw,
+    ZeroGramLaw,
     analytic_gaussian_sigma,
     child_rng,
+    gram_law,
     laplace_gram_error,
-    laplace_noise,
     subsample_noise_scale,
     wishart_dof,
     wishart_gram_error,
@@ -67,7 +69,6 @@ from .regions import (
     Functional,
     FunctionalHistogram,
     RegionConfig,
-    histogram_mean_estimate,
     map_functional,
     region_contains,
     sample_region,

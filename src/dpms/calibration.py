@@ -83,10 +83,7 @@ def _noise_draws(
 ) -> np.ndarray:
     if not with_noise:
         return np.zeros(cfg.nsim)
-    spec = subsample_noise_scale(cfg.bounds, cfg.M, cfg.budget)
-    if spec.mechanism == "laplace":
-        return rng.laplace(0.0, spec.scale, size=cfg.nsim)
-    return rng.normal(0.0, spec.scale, size=cfg.nsim)
+    return subsample_noise_scale(cfg.bounds, cfg.M, cfg.budget).sample(rng, cfg.nsim)
 
 
 def simulate_null_lrt(

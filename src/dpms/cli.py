@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prior", choices=["g", "zs", "bic", "aic", "lrt"])
         sp.add_argument("--g", type=float, dest="g_value",
                         help="fixed g for the g-prior (default: sample size)")
-        sp.add_argument("--mechanism", choices=["laplace", "gaussian", "wishart"])
         sp.add_argument("--lambda", type=float, dest="lambda_pct",
                         help="hard-threshold percentile")
         sp.add_argument("--alpha", type=float)
@@ -187,13 +186,7 @@ def _bounds(cfg: dict) -> CensorBounds:
 def _budget(cfg: dict) -> PrivacyBudget:
     if cfg.get("epsilon") is None:
         raise ConfigError("epsilon is required")
-    budget = PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0)))
-    mech = cfg.get("mechanism")
-    if mech in ("gaussian", "wishart") and budget.delta == 0.0:
-        raise ConfigError(f"the {mech} mechanism requires delta > 0")
-    if mech == "laplace" and budget.delta != 0.0:
-        raise ConfigError("the laplace mechanism requires delta = 0")
-    return budget
+    return PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0)))
 
 
 def _stat(cfg: dict):
@@ -316,6 +309,7 @@ def _cmd_select(cfg: dict, out: Path) -> None:
     stat = _stat(cfg)
     prior_kind = cfg.get("model_prior", "hierarchical")
     post = enumerate_posterior(chain, stat, prior_kind)
+    budget = chain.law.budget
     write_csv(out / "posterior.csv", ["model", "log_marginal", "posterior"],
               posterior_csv_rows(post))
     summary = {
@@ -324,9 +318,9 @@ def _cmd_select(cfg: dict, out: Path) -> None:
         "top_model": format(post.top_model(), f"0{post.p}b")[::-1],
         "r": chain.r,
         "e_lambda": chain.e_lambda,
-        "mechanism": chain.mechanism,
-        "epsilon": chain.budget.epsilon if chain.budget else None,
-        "delta": chain.budget.delta if chain.budget else None,
+        "mechanism": chain.law.name,
+        "epsilon": budget.epsilon if budget else None,
+        "delta": budget.delta if budget else None,
         "seed": int(cfg["seed"]),
         "n": data.n,
         "p": data.p,
@@ -356,7 +350,7 @@ def _cmd_region(cfg: dict, out: Path) -> None:
     data, chain, rng = _select_chain(cfg)
     functional = _parse_functional(cfg, data.p)
     region_cfg = RegionConfig(alpha=float(cfg["alpha"]), nsamples=int(cfg["nsamples"]),
-                              functional=functional, seed=int(cfg["seed"]))
+                              seed=int(cfg["seed"]))
     samples = sample_region(chain, region_cfg, rng)
     hist = map_functional(samples, functional, _stat(cfg),
                           cfg.get("model_prior", "hierarchical"))
@@ -372,7 +366,7 @@ def _cmd_region(cfg: dict, out: Path) -> None:
         "rejected_non_pd": hist.rejected_non_pd,
         "alpha": region_cfg.alpha,
         "functional": cfg.get("functional") or "inclusion:0",
-        "mechanism": chain.mechanism,
+        "mechanism": chain.law.name,
         "seed": int(cfg["seed"]),
         "config": _public_config(cfg),
     })

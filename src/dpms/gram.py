@@ -20,7 +20,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     ConfigError,
-    DataError,
     DegenerateResponseError,
     NumericError,
     RepairFailureError,
@@ -34,13 +33,15 @@ from .linmodel import (
     zs_shrinkage,
 )
 from .mechanisms import (
+    LaplaceGramLaw,
     PrivacyBudget,
     Sensitivity,
-    laplace_gram_error,
-    laplace_gram_scale,
-    wishart_dof,
-    wishart_gram_error,
+    WishartGramLaw,
+    ZeroGramLaw,
+    gram_law,
 )
+# Bound here because perfbench/tracing.py wraps them under dpms.gram.
+from .mechanisms import laplace_gram_error, wishart_gram_error  # noqa: F401
 
 __all__ = [
     "GramMatrix",
@@ -56,7 +57,6 @@ __all__ = [
     "model_prior_log",
     "enumerate_posterior",
     "model_averaged_beta",
-    "mse_of_fit",
 ]
 
 log = logging.getLogger(__name__)
@@ -89,20 +89,15 @@ class GramChain:
     """The released-Gram processing chain G* -> G** -> G**_r.
 
     Stages are filled progressively by :func:`privatize_gram`,
-    :func:`threshold_offdiagonal`, and :func:`pd_repair`; mechanism
-    metadata stays attached so downstream steps (thresholds, repair
-    draws, confidence regions) know the error law.  ``mechanism`` is
-    "laplace", "wishart", or "none" (the zero-noise hook).
+    :func:`threshold_offdiagonal`, and :func:`pd_repair`; the error law
+    stays attached so downstream steps (thresholds, repair draws,
+    confidence regions) can sample and invert it.
     """
 
     g_star: np.ndarray
     n: int
     p: int
-    mechanism: str
-    budget: PrivacyBudget | None = None
-    laplace_scale: float | None = None      # per-entry scale, Laplace mechanism
-    wishart_k: int | None = None
-    wishart_delta2: float | None = None
+    law: LaplaceGramLaw | WishartGramLaw | ZeroGramLaw
     g_thresh: np.ndarray | None = None
     g_reg: np.ndarray | None = None
     e_lambda: float = 0.0
@@ -124,7 +119,7 @@ class GramChain:
 
 def oracle_chain(gram: GramMatrix) -> GramChain:
     """Zero-noise chain: G* = G exactly (the epsilon -> infinity hook)."""
-    return GramChain(g_star=gram.g.copy(), n=gram.n, p=gram.p, mechanism="none")
+    return GramChain(g_star=gram.g.copy(), n=gram.n, p=gram.p, law=ZeroGramLaw(gram.p))
 
 
 def privatize_gram(
@@ -132,67 +127,11 @@ def privatize_gram(
     budget: PrivacyBudget,
     sens: Sensitivity,
     rng: np.random.Generator,
-    *,
-    per_entry_sensitivity: float | None = None,
 ) -> GramChain:
-    """Release G* = G + E under the mechanism selected by the budget.
-
-    delta = 0 adds iid Laplace noise to the upper triangle.  The
-    per-entry sensitivity defaults to 2 * l1^2 (the worst-case change of
-    one Gram entry when one data row with entries bounded by l1 is
-    replaced) but may be supplied directly.  delta > 0 uses the centered
-    Wishart error, which needs the row-norm bound l2.
-    """
-    if budget.pure:
-        if per_entry_sensitivity is None:
-            if sens.l1 <= 0:
-                raise ConfigError(
-                    "Laplace Gram release needs the data entry bound sens.l1 "
-                    "(or an explicit per_entry_sensitivity)"
-                )
-            per_entry_sensitivity = 2.0 * sens.l1**2
-        e = laplace_gram_error(gram.p, budget, per_entry_sensitivity, rng)
-        return GramChain(
-            g_star=gram.g + e,
-            n=gram.n,
-            p=gram.p,
-            mechanism="laplace",
-            budget=budget,
-            laplace_scale=laplace_gram_scale(gram.p, budget.epsilon, per_entry_sensitivity),
-        )
-    if sens.l2 <= 0:
-        raise ConfigError("Wishart Gram release needs the row-norm bound sens.l2")
-    e = wishart_gram_error(gram.p, budget, sens.l2, rng)
-    return GramChain(
-        g_star=gram.g + e,
-        n=gram.n,
-        p=gram.p,
-        mechanism="wishart",
-        budget=budget,
-        wishart_k=wishart_dof(gram.p, budget),
-        wishart_delta2=sens.l2,
-    )
-
-
-def _wishart_offdiag_abs(chain: GramChain, size: int, rng: np.random.Generator) -> np.ndarray:
-    """|E_ij| draws for one off-diagonal Wishart error entry.
-
-    An off-diagonal entry of Wishart(k, I) is sum_l x_l y_l with x, y iid
-    standard normal, which equals (chi2_k - chi2_k) / 2 in distribution.
-    """
-    k, d2 = chain.wishart_k, chain.wishart_delta2
-    return np.abs(d2**2 * 0.5 * (rng.chisquare(k, size) - rng.chisquare(k, size)))
-
-
-def _noise_quantile(chain: GramChain, lambda_pct: float, rng: np.random.Generator,
-                    mc_draws: int = 100_000) -> float:
-    if chain.mechanism == "none":
-        return 0.0
-    q = lambda_pct / 100.0
-    if chain.mechanism == "laplace":
-        # |Laplace(b)| has CDF 1 - exp(-t/b).
-        return -chain.laplace_scale * math.log1p(-q)
-    return float(np.quantile(_wishart_offdiag_abs(chain, mc_draws, rng), q))
+    """Release G* = G + E under the error law the budget selects
+    (:func:`dpms.mechanisms.gram_law`)."""
+    law = gram_law(gram.p, budget, sens)
+    return GramChain(g_star=gram.g + law.sample(rng), n=gram.n, p=gram.p, law=law)
 
 
 def threshold_offdiagonal(
@@ -206,7 +145,7 @@ def threshold_offdiagonal(
     """
     if not 0.0 < lambda_pct < 100.0:
         raise ConfigError(f"lambda percentile must lie in (0, 100), got {lambda_pct}")
-    e_lambda = _noise_quantile(chain, lambda_pct, rng)
+    e_lambda = chain.law.offdiag_abs_quantile(lambda_pct / 100.0, rng)
     g = chain.g_star.copy()
     off = ~np.eye(g.shape[0], dtype=bool)
     g[off & (np.abs(g) < e_lambda)] = 0.0
@@ -218,17 +157,8 @@ def _min_eig(m: np.ndarray) -> float:
 
 
 def _draw_error(chain: GramChain, rng: np.random.Generator) -> np.ndarray:
-    if chain.mechanism == "laplace":
-        m = chain.p + 1
-        e = np.zeros((m, m))
-        iu = np.triu_indices(m)
-        draws = rng.laplace(0.0, chain.laplace_scale, size=m * (m + 1) // 2)
-        e[iu] = draws
-        e.T[iu] = draws
-        return e
-    if chain.mechanism == "wishart":
-        return wishart_gram_error(chain.p, chain.budget, chain.wishart_delta2, rng)
-    return np.zeros((chain.p + 1, chain.p + 1))
+    # A function of its own because perfbench/tracing.py wraps it.
+    return chain.law.sample(rng)
 
 
 def pd_repair(
@@ -247,11 +177,8 @@ def pd_repair(
     """
     base = chain._pre_repair()
     if r is None:
-        if chain.mechanism == "none":
-            r = 0.0
-        else:
-            mins = np.array([_min_eig(_draw_error(chain, rng)) for _ in range(n_draws)])
-            r = float(np.quantile(np.maximum(-mins, 0.0), 0.99))
+        mins = np.array([_min_eig(_draw_error(chain, rng)) for _ in range(n_draws)])
+        r = float(np.quantile(np.maximum(-mins, 0.0), 0.99))
         candidate = base + r * np.eye(base.shape[0])
         if _min_eig(candidate) <= 0.0:
             r = 3.0 * abs(_min_eig(base))
@@ -421,6 +348,8 @@ def enumerate_posterior(
     for j in range(p):
         mask = np.array([(gamma >> j) & 1 for gamma in range(n_models)], dtype=bool)
         inclusion[j] = posterior[mask].sum()
+    # A sum of masses can round past 1 (to 1 + 2^-52).
+    np.clip(inclusion, 0.0, 1.0, out=inclusion)
     mp = ModelPosterior(
         log_marginals=log_marg,
         posterior=posterior,
@@ -471,14 +400,3 @@ def model_averaged_beta(
         r2 = r2_gamma(g_reg, gamma)
         beta[idx] += weight * _shrinkage(stat, r2, posterior.n, size, p0) * coef
     return beta
-
-
-def mse_of_fit(v_beta_true: np.ndarray, v: np.ndarray, beta_hat: np.ndarray) -> float:
-    """Mean squared prediction error n^{-1} ||V beta - V beta_hat||^2."""
-    v_beta_true = np.asarray(v_beta_true, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float)
-    beta_hat = np.asarray(beta_hat, dtype=float).reshape(-1)
-    if v.shape[0] != v_beta_true.shape[0] or v.shape[1] != beta_hat.shape[0]:
-        raise DataError("dimension mismatch between V, beta, and the true fit")
-    diff = v_beta_true - v @ beta_hat
-    return float(diff @ diff) / v.shape[0]

@@ -1,37 +1,48 @@
-"""Noise primitives and privacy calibration.
+"""Noise laws and privacy calibration.
 
-Laplace sampling, tight Gaussian scale calibration, Wishart-based Gram
-matrix error, and the noise-scale rule for subsample-and-aggregate
-releases.  Everything is pure given a ``numpy.random.Generator``; callers
-own their streams (see :func:`child_rng`).
+Every noise law of the package lives here, and each release route picks
+its law once, from the budget: :func:`subsample_noise_scale` gives the
+Laplace or analytic-Gaussian law of a subsample-and-aggregate mean, and
+:func:`gram_law` the Laplace or Wishart error law of the Gram release
+(:class:`ZeroGramLaw` is the zero-noise oracle).  A Gram law samples its
+error, gives the quantiles of an off-diagonal entry's absolute value (for
+hard thresholds), and builds the central acceptance set that confidence
+regions sample from.  Everything is pure given a
+``numpy.random.Generator``; callers own their streams (see
+:func:`child_rng`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .errors import ConfigError, NumericError, WrongMechanismError
+from .errors import ConfigError, EmptyRegionError, NumericError, WrongMechanismError
 
 __all__ = [
     "PrivacyBudget",
     "Sensitivity",
-    "NoiseDraw",
     "NoiseScale",
+    "LaplaceGramLaw",
+    "WishartGramLaw",
+    "ZeroGramLaw",
     "child_rng",
-    "laplace_noise",
     "analytic_gaussian_sigma",
     "classical_gaussian_sigma",
     "subsample_noise_scale",
-    "draw_subsample_noise",
+    "gram_law",
     "laplace_gram_scale",
     "laplace_gram_error",
     "wishart_dof",
     "wishart_gram_error",
 ]
+
+# Monte-Carlo draws behind the Wishart off-diagonal quantile.
+QUANTILE_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,7 @@ class Sensitivity:
 
 @dataclass(frozen=True)
 class NoiseScale:
-    """Mechanism tag plus realized noise scale.
+    """Noise law of a subsample-and-aggregate release.
 
     For ``laplace`` the scale is the Laplace scale parameter b; for
     ``gaussian`` it is the standard deviation.
@@ -83,18 +94,18 @@ class NoiseScale:
     mechanism: str  # "laplace" | "gaussian"
     scale: float
 
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One realized noise value with its provenance."""
-
-    value: float
-    scale: float
-    mechanism: str
-
     def __post_init__(self):
+        if self.mechanism not in ("laplace", "gaussian"):
+            raise ConfigError(f"unknown mechanism {self.mechanism!r}")
         if not self.scale > 0:
             raise ConfigError(f"noise scale must be positive, got {self.scale}")
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One noise value, or an array of ``size`` values equal to that
+        many single draws in turn."""
+        if self.mechanism == "laplace":
+            return rng.laplace(0.0, self.scale, size)
+        return rng.normal(0.0, self.scale, size)
 
 
 def child_rng(root_seed: int, *indices: int) -> np.random.Generator:
@@ -104,13 +115,6 @@ def child_rng(root_seed: int, *indices: int) -> np.random.Generator:
     each own ``child_rng(seed, task_index)`` are reproducible.
     """
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(indices)))
-
-
-def laplace_noise(scale: float, rng: np.random.Generator) -> float:
-    """One draw from Laplace(0, scale)."""
-    if not scale > 0:
-        raise ConfigError(f"Laplace scale must be positive, got {scale}")
-    return float(rng.laplace(0.0, scale))
 
 
 def _gaussian_delta(sigma: float, epsilon: float, l2: float) -> float:
@@ -202,17 +206,6 @@ def subsample_noise_scale(bounds, M: int, budget: PrivacyBudget) -> NoiseScale:
     return NoiseScale("gaussian", analytic_gaussian_sigma(budget, width))
 
 
-def draw_subsample_noise(spec: NoiseScale, rng: np.random.Generator) -> NoiseDraw:
-    """Sample one noise value according to a NoiseScale."""
-    if spec.mechanism == "laplace":
-        value = laplace_noise(spec.scale, rng)
-    elif spec.mechanism == "gaussian":
-        value = float(rng.normal(0.0, spec.scale))
-    else:
-        raise ConfigError(f"unknown mechanism {spec.mechanism!r}")
-    return NoiseDraw(value=value, scale=spec.scale, mechanism=spec.mechanism)
-
-
 def laplace_gram_scale(p: int, epsilon: float, per_entry_sensitivity: float) -> float:
     """Per-entry Laplace scale for releasing the (p+1)x(p+1) Gram matrix.
 
@@ -223,25 +216,6 @@ def laplace_gram_scale(p: int, epsilon: float, per_entry_sensitivity: float) -> 
     if not per_entry_sensitivity > 0:
         raise ConfigError("per-entry sensitivity must be positive")
     return per_entry_sensitivity * (p + 1) * (p + 2) / (2.0 * epsilon)
-
-
-def laplace_gram_error(
-    p: int,
-    budget: PrivacyBudget,
-    per_entry_sensitivity: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Symmetric (p+1)x(p+1) error with iid Laplace upper triangle."""
-    if not budget.pure:
-        raise WrongMechanismError("Laplace Gram error requires delta = 0")
-    scale = laplace_gram_scale(p, budget.epsilon, per_entry_sensitivity)
-    m = p + 1
-    draws = rng.laplace(0.0, scale, size=m * (m + 1) // 2)
-    e = np.zeros((m, m))
-    iu = np.triu_indices(m)
-    e[iu] = draws
-    e.T[iu] = draws
-    return e
 
 
 def wishart_dof(p: int, budget: PrivacyBudget) -> int:
@@ -260,19 +234,214 @@ def _wishart_bartlett(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return a @ a.T
 
 
+def _symmetric(dim: int, upper: np.ndarray) -> np.ndarray:
+    """The symmetric dim x dim matrix whose upper triangle, read row by
+    row, is ``upper``."""
+    e = np.zeros((dim, dim))
+    iu = np.triu_indices(dim)
+    e[iu] = upper
+    e.T[iu] = upper
+    return e
+
+
+@dataclass(frozen=True)
+class LaplaceGramLaw:
+    """Gram error with an iid Laplace(0, scale) upper triangle."""
+
+    p: int
+    scale: float
+    budget: PrivacyBudget
+    name: ClassVar[str] = "laplace"
+
+    def __post_init__(self):
+        if not self.budget.pure:
+            raise WrongMechanismError("Laplace Gram error requires delta = 0")
+        if not self.scale > 0:
+            raise ConfigError(f"Laplace scale must be positive, got {self.scale}")
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        m = self.p + 1
+        return _symmetric(m, rng.laplace(0.0, self.scale, size=m * (m + 1) // 2))
+
+    def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
+        # |Laplace(b)| has CDF 1 - exp(-t/b).
+        return -self.scale * math.log1p(-q)
+
+    def central_set(self, alpha: float, rng: np.random.Generator) -> "_LaplaceBox":
+        return _LaplaceBox(self, alpha)
+
+
+@dataclass(frozen=True)
+class WishartGramLaw:
+    """Centered Wishart Gram error E = W - k l2^2 I.
+
+    W ~ Wishart(k, l2^2 I_{p+1}) with k from :func:`wishart_dof`; the
+    subtraction centers at E(W), so E + k l2^2 I is always PSD.
+    """
+
+    p: int
+    k: int
+    l2: float
+    budget: PrivacyBudget
+    name: ClassVar[str] = "wishart"
+
+    def __post_init__(self):
+        if self.budget.pure:
+            raise WrongMechanismError("Wishart mechanism requires delta > 0")
+        if not self.l2 > 0:
+            raise ConfigError("row-norm bound must be positive")
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        m = self.l2**2 * _wishart_bartlett(self.p + 1, self.k, rng)
+        return m - self.k * self.l2**2 * np.eye(self.p + 1)
+
+    def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
+        # An off-diagonal entry of Wishart(k, I) is sum_l x_l y_l with x, y
+        # iid standard normal, which equals (chi2_k - chi2_k) / 2 in
+        # distribution; its quantile is a seeded Monte-Carlo estimate.
+        k, size = self.k, QUANTILE_DRAWS
+        draws = np.abs(self.l2**2 * 0.5 * (rng.chisquare(k, size) - rng.chisquare(k, size)))
+        return float(np.quantile(draws, q))
+
+    def central_set(self, alpha: float, rng: np.random.Generator) -> "_WishartBall":
+        return _WishartBall(self, alpha, rng)
+
+
+@dataclass(frozen=True)
+class ZeroGramLaw:
+    """No Gram error at all: the zero-noise (epsilon -> infinity) oracle."""
+
+    p: int
+    name: ClassVar[str] = "none"
+    budget: ClassVar[None] = None
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return np.zeros((self.p + 1, self.p + 1))
+
+    def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
+        return 0.0
+
+    def central_set(self, alpha: float, rng: np.random.Generator) -> "_Origin":
+        return _Origin(self.p + 1)
+
+
+def gram_law(p: int, budget: PrivacyBudget, sens: Sensitivity) -> LaplaceGramLaw | WishartGramLaw:
+    """The error law of a Gram release under this budget.
+
+    delta = 0 gives iid Laplace noise on the upper triangle at the
+    per-entry sensitivity 2 * l1^2 (the worst-case change of one Gram
+    entry when one data row with entries bounded by l1 is replaced).
+    delta > 0 gives the centered Wishart error, which needs the row-norm
+    bound l2.
+    """
+    if budget.pure:
+        if sens.l1 <= 0:
+            raise ConfigError("Laplace Gram release needs the data entry bound sens.l1")
+        return LaplaceGramLaw(p, laplace_gram_scale(p, budget.epsilon, 2.0 * sens.l1**2), budget)
+    if sens.l2 <= 0:
+        raise ConfigError("Wishart Gram release needs the row-norm bound sens.l2")
+    return WishartGramLaw(p, wishart_dof(p, budget), sens.l2, budget)
+
+
+def laplace_gram_error(
+    p: int,
+    budget: PrivacyBudget,
+    per_entry_sensitivity: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Symmetric (p+1)x(p+1) error with iid Laplace upper triangle."""
+    scale = laplace_gram_scale(p, budget.epsilon, per_entry_sensitivity)
+    return LaplaceGramLaw(p, scale, budget).sample(rng)
+
+
 def wishart_gram_error(
     p: int,
     budget: PrivacyBudget,
     l2_row_bound: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Centered Wishart error E = M - k Delta2^2 I for the Gram release.
+    """One centered Wishart error draw for the Gram release (see
+    :class:`WishartGramLaw`)."""
+    return WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget).sample(rng)
 
-    M ~ Wishart(k, Delta2^2 I_{p+1}) with k from :func:`wishart_dof`;
-    the subtraction centers at E(M), so E + k Delta2^2 I is always PSD.
+
+class _CentralSet:
+    """A central (1-alpha) set of Gram errors."""
+
+    def draws(self, n: int, rng: np.random.Generator):
+        """Error draws restricted to the set, n of them."""
+        return (self.sample(rng) for _ in range(n))
+
+
+class _LaplaceBox(_CentralSet):
+    """Componentwise central box for the independent Laplace error.
+
+    Each of the m = (p+1)(p+2)/2 free coordinates gets a two-sided
+    quantile interval at level (1-alpha)^(1/m), so the product set has
+    probability exactly 1 - alpha.
     """
-    if not l2_row_bound > 0:
-        raise ConfigError("row-norm bound must be positive")
-    k = wishart_dof(p, budget)
-    m = l2_row_bound**2 * _wishart_bartlett(p + 1, k, rng)
-    return m - k * l2_row_bound**2 * np.eye(p + 1)
+
+    def __init__(self, law: LaplaceGramLaw, alpha: float):
+        self.dim = law.p + 1
+        q = (1.0 - alpha) ** (1.0 / (self.dim * (self.dim + 1) // 2))
+        self.scale = law.scale
+        self.half_width = -law.scale * math.log1p(-q)
+
+    def contains(self, e: np.ndarray) -> bool:
+        iu = np.triu_indices(self.dim)
+        return bool(np.all(np.abs(e[iu]) <= self.half_width))
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        # Inverse-CDF sampling of Laplace truncated to [-w, w]: the CDF at
+        # w is 1 - exp(-w/b)/2, symmetric about 1/2.
+        hi = 1.0 - 0.5 * math.exp(-self.half_width / self.scale)
+        u = rng.uniform(1.0 - hi, hi, size=self.dim * (self.dim + 1) // 2)
+        draws = np.where(
+            u < 0.5,
+            self.scale * np.log(2.0 * u),
+            -self.scale * np.log(2.0 * (1.0 - u)),
+        )
+        return _symmetric(self.dim, draws)
+
+
+class _WishartBall(_CentralSet):
+    """Spectral-norm acceptance set for the dependent Wishart error.
+
+    The radius is the empirical (1-alpha) quantile of the spectral norm
+    over calibration draws, so rejecting the largest alpha fraction gives
+    an acceptance set of probability 1 - alpha; sampling is by rejection.
+    """
+
+    def __init__(self, law: WishartGramLaw, alpha: float, rng: np.random.Generator,
+                 calibration_draws: int = 100_000):
+        self.law = law
+        norms = np.empty(calibration_draws)
+        for i in range(calibration_draws):
+            norms[i] = np.abs(np.linalg.eigvalsh(law.sample(rng))).max()
+        self.radius = float(np.quantile(norms, 1.0 - alpha))
+
+    def contains(self, e: np.ndarray) -> bool:
+        return bool(np.abs(np.linalg.eigvalsh(e)).max() <= self.radius)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        for _ in range(10_000):
+            e = self.law.sample(rng)
+            if self.contains(e):
+                return e
+        raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
+
+
+class _Origin(_CentralSet):
+    """The zero law's acceptance set: the zero matrix alone."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def contains(self, e: np.ndarray) -> bool:
+        return bool(np.allclose(e, 0.0))
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return np.zeros((self.dim, self.dim))
+
+    def draws(self, n: int, rng: np.random.Generator):
+        return [self.sample(rng)]  # a single point needs a single candidate

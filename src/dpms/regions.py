@@ -1,17 +1,17 @@
 """Monte-Carlo confidence regions for the Gram matrix and its summaries.
 
 The released statistic is G*_r = G + E + r I with a fully known error
-law, so a (1-alpha) region for G is obtained by subtracting a central
-(1-alpha) set of error draws and intersecting with the positive-definite
-cone.  Pushing every surviving candidate through the model-enumeration
-map yields a histogram over any scalar summary (inclusion probability,
+law, so a (1-alpha) region for G is obtained by sampling the law's
+central (1-alpha) set of errors (see :mod:`dpms.mechanisms`),
+subtracting the draws and intersecting with the positive-definite cone.
+Pushing every surviving candidate through the model-enumeration map
+yields a histogram over any scalar summary (inclusion probability,
 posterior mean coefficient); its exact mean is the histogram-mean
 estimator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "sample_region",
     "region_contains",
     "map_functional",
-    "histogram_mean_estimate",
 ]
 
 
@@ -36,9 +35,8 @@ __all__ = [
 class Functional:
     """Scalar summary extracted from a model posterior."""
 
-    kind: str  # "inclusion" | "beta" | "custom"
-    index: int | None = None
-    fn: object | None = None  # callable(ModelPosterior) -> float for "custom"
+    kind: str  # "inclusion" | "beta"
+    index: int
 
     @classmethod
     def inclusion(cls, j: int) -> "Functional":
@@ -48,23 +46,16 @@ class Functional:
     def beta(cls, j: int) -> "Functional":
         return cls("beta", j)
 
-    @classmethod
-    def custom(cls, fn) -> "Functional":
-        return cls("custom", None, fn)
-
     def extract(self, posterior) -> float:
         if self.kind == "inclusion":
             return float(posterior.inclusion[self.index])
-        if self.kind == "beta":
-            return float(posterior.beta_avg[self.index])
-        return float(self.fn(posterior))
+        return float(posterior.beta_avg[self.index])
 
 
 @dataclass(frozen=True)
 class RegionConfig:
     alpha: float
     nsamples: int = 1000
-    functional: Functional | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -72,92 +63,6 @@ class RegionConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.nsamples < 100:
             raise ConfigError(f"nsamples must be >= 100, got {self.nsamples}")
-
-
-class _LaplaceBox:
-    """Componentwise central box for the independent Laplace error.
-
-    Each of the m = (p+1)(p+2)/2 free coordinates gets a two-sided
-    quantile interval at level (1-alpha)^(1/m), so the product set has
-    probability exactly 1 - alpha.
-    """
-
-    def __init__(self, scale: float, dim: int, alpha: float):
-        m = dim * (dim + 1) // 2
-        q = (1.0 - alpha) ** (1.0 / m)
-        self.scale = scale
-        self.dim = dim
-        self.half_width = -scale * math.log1p(-q)
-        self.coord_level = q
-
-    def contains(self, e: np.ndarray) -> bool:
-        iu = np.triu_indices(self.dim)
-        return bool(np.all(np.abs(e[iu]) <= self.half_width))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        # Inverse-CDF sampling of Laplace truncated to [-w, w]: the CDF at
-        # w is 1 - exp(-w/b)/2, symmetric about 1/2.
-        m = self.dim * (self.dim + 1) // 2
-        hi = 1.0 - 0.5 * math.exp(-self.half_width / self.scale)
-        u = rng.uniform(1.0 - hi, hi, size=m)
-        draws = np.where(
-            u < 0.5,
-            self.scale * np.log(2.0 * u),
-            -self.scale * np.log(2.0 * (1.0 - u)),
-        )
-        e = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        e[iu] = draws
-        e.T[iu] = draws
-        return e
-
-
-class _WishartBall:
-    """Spectral-norm acceptance set for the dependent Wishart error.
-
-    The radius is the empirical (1-alpha) quantile of the spectral norm
-    over calibration draws, so rejecting the largest alpha fraction gives
-    an acceptance set of probability 1 - alpha; sampling is by rejection.
-    """
-
-    def __init__(self, chain: GramChain, alpha: float, rng: np.random.Generator,
-                 calibration_draws: int = 100_000):
-        from .gram import _draw_error
-
-        self._draw = lambda r: _draw_error(chain, r)
-        norms = np.empty(calibration_draws)
-        for i in range(calibration_draws):
-            e = self._draw(rng)
-            norms[i] = np.abs(np.linalg.eigvalsh(e)).max()
-        self.radius = float(np.quantile(norms, 1.0 - alpha))
-
-    def contains(self, e: np.ndarray) -> bool:
-        return bool(np.abs(np.linalg.eigvalsh(e)).max() <= self.radius)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        for _ in range(10_000):
-            e = self._draw(rng)
-            if self.contains(e):
-                return e
-        raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
-
-
-class _ZeroNoise:
-    def contains(self, e: np.ndarray) -> bool:
-        return bool(np.allclose(e, 0.0))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return None  # signals "single exact candidate"
-
-
-def _acceptance_set(chain: GramChain, cfg: RegionConfig, rng: np.random.Generator):
-    if chain.mechanism == "laplace":
-        return _LaplaceBox(chain.laplace_scale, chain.p + 1, cfg.alpha)
-    if chain.mechanism == "wishart":
-        return _WishartBall(chain, cfg.alpha, rng)
-    if chain.mechanism == "none":
-        return _ZeroNoise()
-    raise ConfigError(f"no region construction for mechanism {chain.mechanism!r}")
 
 
 @dataclass
@@ -174,21 +79,16 @@ def sample_region(
 ) -> RegionSamples:
     """Draw candidate Gram matrices from the confidence region.
 
-    Error draws E_s restricted to a central (1-alpha) acceptance set give
+    Error draws E_s restricted to the law's central (1-alpha) set give
     candidates G_s = G* - E_s (the r I offset of the released statistic
     cancels); candidates outside the positive-definite cone are dropped
-    and counted.
+    and counted.  Without noise the set is one point, so the release
+    itself is the only candidate.
     """
-    acc = _acceptance_set(chain, cfg, rng)
+    acc = chain.law.central_set(cfg.alpha, rng)
     candidates: list[np.ndarray] = []
     rejected = 0
-    if isinstance(acc, _ZeroNoise):
-        g = chain.g_star.copy()
-        if np.linalg.eigvalsh(g)[0] > 0.0:
-            return RegionSamples([g], 0, chain.n)
-        raise EmptyRegionError("zero-noise Gram matrix is not positive definite")
-    for _ in range(cfg.nsamples):
-        e = acc.sample(rng)
+    for e in acc.draws(cfg.nsamples, rng):
         g = chain.g_star - e
         if np.linalg.eigvalsh(g)[0] > 0.0:
             candidates.append(g)
@@ -197,7 +97,7 @@ def sample_region(
     if not candidates:
         raise EmptyRegionError(
             "every confidence-region candidate was rejected as non-positive-definite",
-            {"alpha": cfg.alpha, "nsamples": cfg.nsamples, "mechanism": chain.mechanism},
+            {"alpha": cfg.alpha, "nsamples": cfg.nsamples, "mechanism": chain.law.name},
         )
     return RegionSamples(candidates, rejected, chain.n)
 
@@ -211,7 +111,7 @@ def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig,
     Gram matrix of a full-rank design).
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    acc = _acceptance_set(chain, cfg, rng)
+    acc = chain.law.central_set(cfg.alpha, rng)
     if np.linalg.eigvalsh(np.asarray(g_true))[0] <= 0.0:
         return False
     return acc.contains(chain.g_star - g_true)
@@ -264,10 +164,3 @@ def map_functional(
         rejected_non_pd=samples.rejected_non_pd,
         samples=values,
     )
-
-
-def histogram_mean_estimate(hist: FunctionalHistogram) -> float:
-    """Histogram-mean point estimate of the functional (exact sample mean)."""
-    if hist.accepted < 1:
-        raise EmptyRegionError("histogram has no accepted samples")
-    return hist.mean

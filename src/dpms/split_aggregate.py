@@ -24,7 +24,7 @@ from .linmodel import (
     r_squared,
     reparametrize,
 )
-from .mechanisms import NoiseDraw, PrivacyBudget, draw_subsample_noise, subsample_noise_scale
+from .mechanisms import NoiseScale, PrivacyBudget, subsample_noise_scale
 
 __all__ = [
     "CensorBounds",
@@ -152,15 +152,17 @@ def per_subset_log_stats(
 class DPTestResult:
     """Private test output: the noisy average of censored log statistics.
 
-    ``per_subset_logs`` (the censored per-subset values) is retained for
-    the non-private diagnostics mode only and must never appear in output
-    marked private; ``to_record`` enforces that.
+    ``law`` is the noise law of the release and ``noise`` its realised
+    value.  ``per_subset_logs`` (the censored per-subset values) is
+    retained for the non-private diagnostics mode only and must never
+    appear in output marked private; ``to_record`` enforces that.
     """
 
     log_bstar: float
     log_bstar_censored: float
     per_subset_logs: np.ndarray
-    noise: NoiseDraw
+    law: NoiseScale
+    noise: float
     budget: PrivacyBudget
     bounds: CensorBounds
 
@@ -182,7 +184,7 @@ class DPTestResult:
             "M": self.M,
             "L": self.bounds.L,
             "U": self.bounds.U,
-            "mechanism": self.noise.mechanism,
+            "mechanism": self.law.mechanism,
             "seed": seed,
         }
         if not private:
@@ -207,16 +209,14 @@ def aggregate_private(
     if per_subset.ndim != 1 or per_subset.size == 0:
         raise ConfigError("per-subset statistics must be a nonempty 1-d array")
     censored = censor(per_subset, bounds)
-    spec = subsample_noise_scale(bounds, per_subset.size, budget)
-    if noise_value is None:
-        noise = draw_subsample_noise(spec, rng)
-    else:
-        noise = NoiseDraw(value=float(noise_value), scale=spec.scale, mechanism=spec.mechanism)
-    log_bstar = float(np.mean(censored)) + noise.value
+    law = subsample_noise_scale(bounds, per_subset.size, budget)
+    noise = law.sample(rng) if noise_value is None else float(noise_value)
+    log_bstar = float(np.mean(censored)) + noise
     return DPTestResult(
         log_bstar=log_bstar,
         log_bstar_censored=float(censor(log_bstar, bounds)),
         per_subset_logs=censored,
+        law=law,
         noise=noise,
         budget=budget,
         bounds=bounds,

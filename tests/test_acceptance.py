@@ -25,7 +25,6 @@ from dpms.gram import (
     oracle_chain,
     pd_repair,
     privatize_gram,
-    wishart_dof,
 )
 from dpms.harness import (
     DP_METHODS,
@@ -47,6 +46,7 @@ from dpms.mechanisms import (
     analytic_gaussian_sigma,
     child_rng,
     classical_gaussian_sigma,
+    wishart_dof,
     wishart_gram_error,
 )
 from dpms.mechanisms import _gaussian_delta

@@ -13,7 +13,6 @@ from dpms.gram import (
     enumerate_posterior,
     model_averaged_beta,
     model_prior_log,
-    mse_of_fit,
     oracle_chain,
     pd_repair,
     privatize_gram,
@@ -31,7 +30,7 @@ from dpms.linmodel import (
     r_squared,
     reparametrize,
 )
-from dpms.mechanisms import PrivacyBudget, Sensitivity
+from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity, ZeroGramLaw
 
 
 def toy_centered(n=50, p=4, seed=0):
@@ -89,18 +88,19 @@ class TestPrivatizeGram:
         for _ in range(10):
             chain = privatize_gram(gram, budget, Sensitivity(l2=1.0), rng)
             e = chain.g_star - gram.g
-            shifted = e + chain.wishart_k * 1.0 * np.eye(3)
+            shifted = e + chain.law.k * 1.0 * np.eye(3)
             assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * np.trace(shifted)
 
     def test_laplace_entry_variance(self):
-        # p=2, eps=1, per-entry sensitivity 1: scale (3*4)/2 = 6, variance 72.
+        # p=2, eps=1, per-entry sensitivity 2 l1^2 = 1: scale (3*4)/2 = 6,
+        # variance 72.
         gram = build_gram(toy_centered(p=2))
         rng = np.random.default_rng(5)
         iu = np.triu_indices(3)
+        sens = Sensitivity(l1=math.sqrt(0.5))
         entries = []
         for _ in range(10_000):
-            chain = privatize_gram(gram, PrivacyBudget(1.0), Sensitivity(),
-                                   rng, per_entry_sensitivity=1.0)
+            chain = privatize_gram(gram, PrivacyBudget(1.0), sens, rng)
             entries.append((chain.g_star - gram.g)[iu])
         assert np.concatenate(entries).var() == pytest.approx(72.0, rel=0.1)
 
@@ -118,7 +118,7 @@ class TestPrivatizeGram:
         chain = privatize_gram(gram, PrivacyBudget(2.0), Sensitivity(l1=0.5),
                                np.random.default_rng(0))
         # 2 * 0.5^2 = 0.5 per entry; scale = 0.5 * (2*3)/(2*2) = 0.75.
-        assert chain.laplace_scale == pytest.approx(0.75)
+        assert chain.law.scale == pytest.approx(0.75)
 
 
 class TestThresholdOffdiagonal:
@@ -143,7 +143,7 @@ class TestThresholdOffdiagonal:
     def test_laplace_closed_form_percentile(self):
         _, chain = self._chain()
         out = threshold_offdiagonal(chain, 99.0, np.random.default_rng(0))
-        assert out.e_lambda == pytest.approx(chain.laplace_scale * math.log(100.0),
+        assert out.e_lambda == pytest.approx(chain.law.scale * math.log(100.0),
                                              rel=1e-12)
 
     def test_nonzero_count_monotone_in_lambda(self):
@@ -162,7 +162,7 @@ class TestThresholdOffdiagonal:
         out = threshold_offdiagonal(chain, 95.0, np.random.default_rng(8))
         # Off-diagonal entries have variance k for unit scale: the 95th
         # percentile of the absolute value is near 1.96 sqrt(k).
-        assert out.e_lambda == pytest.approx(1.96 * math.sqrt(chain.wishart_k), rel=0.05)
+        assert out.e_lambda == pytest.approx(1.96 * math.sqrt(chain.law.k), rel=0.05)
 
 
 class TestPdRepair:
@@ -173,13 +173,13 @@ class TestPdRepair:
 
     def test_eigenvalue_shift_identity(self):
         base = np.diag([-2.0, 5.0])
-        chain = GramChain(g_star=base, n=10, p=1, mechanism="none")
+        chain = GramChain(g_star=base, n=10, p=1, law=ZeroGramLaw(1))
         out = pd_repair(chain, np.random.default_rng(0), r=3.0)
         assert np.linalg.eigvalsh(out.g_reg)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_r_that_fails_raises(self):
         base = np.diag([-2.0, 5.0])
-        chain = GramChain(g_star=base, n=10, p=1, mechanism="none")
+        chain = GramChain(g_star=base, n=10, p=1, law=ZeroGramLaw(1))
         with pytest.raises(RepairFailureError):
             pd_repair(chain, np.random.default_rng(0), r=1.0)
 
@@ -188,12 +188,12 @@ class TestPdRepair:
         rng = np.random.default_rng(9)
         ok = 0
         for trial in range(1000):
-            chain = GramChain(g_star=g + 0.0, n=100, p=2, mechanism="laplace",
-                              budget=PrivacyBudget(1.0), laplace_scale=6.0)
+            chain = GramChain(g_star=g + 0.0, n=100, p=2,
+                              law=LaplaceGramLaw(2, 6.0, PrivacyBudget(1.0)))
             noisy = chain.g_star + 6.0 * rng.laplace(size=(3, 3))
             noisy = 0.5 * (noisy + noisy.T)
-            chain = GramChain(g_star=noisy, n=100, p=2, mechanism="laplace",
-                              budget=PrivacyBudget(1.0), laplace_scale=6.0)
+            chain = GramChain(g_star=noisy, n=100, p=2,
+                              law=LaplaceGramLaw(2, 6.0, PrivacyBudget(1.0)))
             out = pd_repair(chain, rng, n_draws=200)
             ok += np.linalg.eigvalsh(out.g_reg)[0] > 0
         assert ok == 1000
@@ -380,31 +380,6 @@ class TestModelAveragedBeta:
             contribution[idx] = shrink * coef
             want += post.posterior[gamma] * contribution
         np.testing.assert_allclose(post.beta_avg, want, atol=1e-10)
-
-
-class TestMseOfFit:
-    def test_exact_fit_is_zero(self):
-        v = np.random.default_rng(20).standard_normal((30, 3))
-        beta = np.array([1.0, -2.0, 0.5])
-        assert mse_of_fit(v @ beta, v, beta) == 0.0
-
-    def test_zero_estimate(self):
-        v = np.random.default_rng(21).standard_normal((30, 2))
-        beta = np.array([0.7, 0.1])
-        want = float(np.sum((v @ beta) ** 2)) / 30
-        assert mse_of_fit(v @ beta, v, np.zeros(2)) == pytest.approx(want, rel=1e-12)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(22)
-        v = rng.standard_normal((25, 3))
-        beta = rng.standard_normal(3)
-        bhat = rng.standard_normal(3)
-        acc = 0.0
-        for i in range(25):
-            pred_true = sum(v[i, j] * beta[j] for j in range(3))
-            pred_hat = sum(v[i, j] * bhat[j] for j in range(3))
-            acc += (pred_true - pred_hat) ** 2
-        assert mse_of_fit(v @ beta, v, bhat) == pytest.approx(acc / 25, rel=1e-12)
 
 
 def test_scaled_gram_stabilizes_as_n_grows():

@@ -91,6 +91,11 @@ class TestRunCommand:
         assert record["M"] == 10
         assert record["mechanism"] == "laplace"
         assert 0.0 <= record["p_h0"] <= 1.0
+        # delta > 0 selects the analytic Gaussian for the test.
+        cfg.update({"delta": 1e-5, "out": str(tmp_path / "gauss")})
+        assert run_command(cfg) == 0
+        record = json.loads((tmp_path / "gauss" / "test_result.json").read_text())
+        assert record["mechanism"] == "gaussian"
 
     def test_zero_noise_test_reproduces_reference_posterior(self, tmp_path):
         cfg = _base_test_cfg(tmp_path / "out")
@@ -167,6 +172,13 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "sel" / "selection.json").read_text())
         assert summary["mechanism"] == "laplace"
         assert summary["e_lambda"] > 0
+        # delta > 0 selects the Wishart release for the Gram matrix.
+        cfg.update({"delta": 1e-5, "row_norm_bound": 80.0 * 3**0.5,
+                    "out": str(tmp_path / "wishart")})
+        assert run_command(cfg) == 0
+        summary = json.loads((tmp_path / "wishart" / "selection.json").read_text())
+        assert summary["mechanism"] == "wishart"
+        assert summary["delta"] == 1e-5 and summary["e_lambda"] > 0
 
     def test_calibrate_command(self, tmp_path):
         cfg = {

@@ -7,22 +7,23 @@ import pytest
 
 from dpms.errors import ConfigError, NumericError, WrongMechanismError
 from dpms.mechanisms import (
+    LaplaceGramLaw,
     NoiseScale,
     PrivacyBudget,
     Sensitivity,
+    WishartGramLaw,
+    ZeroGramLaw,
     analytic_gaussian_sigma,
     child_rng,
     classical_gaussian_sigma,
-    draw_subsample_noise,
     laplace_gram_error,
     laplace_gram_scale,
-    laplace_noise,
     subsample_noise_scale,
     wishart_dof,
     wishart_gram_error,
 )
 from dpms.mechanisms import _gaussian_delta
-from dpms.split_aggregate import CensorBounds
+from dpms.split_aggregate import CensorBounds, aggregate_private
 
 
 class TestPrivacyBudget:
@@ -52,7 +53,7 @@ class TestPrivacyBudget:
 class TestLaplaceNoise:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ConfigError):
-            laplace_noise(0.0, np.random.default_rng(0))
+            NoiseScale("laplace", 0.0)
 
     def test_location_zero(self):
         rng = np.random.default_rng(1)
@@ -69,7 +70,8 @@ class TestLaplaceNoise:
     def test_90th_percentile_matches_inverse_cdf(self):
         # F^{-1}(0.9) for scale 1 is -log(2 (1 - 0.9)) = log 5.
         rng = np.random.default_rng(3)
-        draws = np.array([laplace_noise(1.0, rng) for _ in range(200_000)])
+        law = NoiseScale("laplace", 1.0)
+        draws = np.array([law.sample(rng) for _ in range(200_000)])
         rng2 = np.random.default_rng(3)
         more = rng2.laplace(0.0, 1.0, 800_000)
         q90 = np.quantile(np.concatenate([draws, more]), 0.9)
@@ -84,8 +86,8 @@ class TestLaplaceNoise:
         assert np.max(np.abs(cdf - ranks)) < 0.005
 
     def test_deterministic_given_seed(self):
-        a = laplace_noise(1.0, np.random.default_rng(7))
-        b = laplace_noise(1.0, np.random.default_rng(7))
+        a = NoiseScale("laplace", 1.0).sample(np.random.default_rng(7))
+        b = NoiseScale("laplace", 1.0).sample(np.random.default_rng(7))
         assert a == b
 
 
@@ -157,8 +159,10 @@ class TestSubsampleNoiseScale:
             subsample_noise_scale(CensorBounds(-1.0, 1.0), 0, PrivacyBudget(1.0))
 
     def test_draw_records_metadata(self):
-        draw = draw_subsample_noise(NoiseScale("laplace", 0.5), np.random.default_rng(0))
-        assert draw.mechanism == "laplace" and draw.scale == 0.5
+        # Width 2.5 over M = 5 subsets at epsilon 1: Laplace scale 0.5.
+        result = aggregate_private(np.zeros(5), CensorBounds(-1.25, 1.25), PrivacyBudget(1.0),
+                                   np.random.default_rng(0))
+        assert result.law.mechanism == "laplace" and result.law.scale == 0.5
 
 
 class TestLaplaceGramError:
@@ -221,6 +225,52 @@ class TestWishartGramError:
     def test_rejects_zero_delta(self):
         with pytest.raises(WrongMechanismError):
             wishart_gram_error(2, PrivacyBudget(1.0), 1.0, np.random.default_rng(0))
+
+
+GRAM_LAWS = {
+    "zero": ZeroGramLaw(2),
+    "laplace": LaplaceGramLaw(2, 0.8, PrivacyBudget(1.0)),
+    "wishart": WishartGramLaw(2, wishart_dof(2, PrivacyBudget(2.0, 0.5)), 0.7,
+                              PrivacyBudget(2.0, 0.5)),
+}
+
+
+class TestNoiseLaws:
+    @pytest.mark.parametrize("name", GRAM_LAWS)
+    def test_central_set_draws_are_members(self, name):
+        rng = np.random.default_rng(30)
+        acc = GRAM_LAWS[name].central_set(0.1, rng)
+        draws = list(acc.draws(200, rng))
+        assert len(draws) == (1 if name == "zero" else 200)
+        assert all(acc.contains(e) for e in draws)
+
+    @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("name", GRAM_LAWS)
+    def test_offdiag_quantile_matches_sampled_entries(self, name, q):
+        # One off-diagonal entry per draw, so the |E_01| are iid; by the
+        # DKW inequality their empirical CDF stays within eps of the true
+        # one with probability 1 - 2 exp(-2 N eps^2) > 1 - 1e-6.  The
+        # Wishart quantile is itself a Monte-Carlo estimate from its
+        # chi-square-difference shortcut, so that law gets the band of
+        # its own sample too.
+        law = GRAM_LAWS[name]
+        n = 20_000
+        eps = math.sqrt(math.log(2e6) / (2 * n))
+        if name == "wishart":
+            eps += math.sqrt(math.log(2e6) / (2 * 100_000))
+        rng = np.random.default_rng(31)
+        x = law.offdiag_abs_quantile(q, rng)
+        entries = np.abs([law.sample(rng)[0, 1] for _ in range(n)])
+        assert np.mean(entries < x) <= q + eps
+        assert np.mean(entries <= x) >= q - eps
+
+    @pytest.mark.parametrize("law", [NoiseScale("laplace", 0.6), NoiseScale("gaussian", 1.7)],
+                             ids=["laplace", "gaussian"])
+    def test_stacked_subsample_draws_equal_sequential(self, law):
+        stacked = law.sample(np.random.default_rng(32), 50)
+        rng = np.random.default_rng(32)
+        sequential = [law.sample(rng) for _ in range(50)]
+        assert stacked.tolist() == sequential
 
 
 class TestChildRng:

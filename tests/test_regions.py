@@ -5,13 +5,18 @@ import pytest
 
 from dpms.errors import EmptyRegionError
 from dpms.gram import GramChain, build_gram, enumerate_posterior, oracle_chain, privatize_gram
-from dpms.linmodel import CenteredData, GPriorSpec, InfoCriterionSpec
-from dpms.mechanisms import PrivacyBudget, Sensitivity
+from dpms.linmodel import (
+    CenteredData,
+    GPriorSpec,
+    InfoCriterionSpec,
+    RegressionData,
+    reparametrize,
+)
+from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity
 from dpms.regions import (
     Functional,
-    FunctionalHistogram,
     RegionConfig,
-    histogram_mean_estimate,
+    RegionSamples,
     map_functional,
     region_contains,
     sample_region,
@@ -60,8 +65,7 @@ class TestSampleRegion:
 
     def test_empty_region_error(self):
         chain = GramChain(g_star=-100.0 * np.eye(3), n=50, p=2,
-                          mechanism="laplace", budget=PrivacyBudget(1.0),
-                          laplace_scale=0.01)
+                          law=LaplaceGramLaw(2, 0.01, PrivacyBudget(1.0)))
         cfg = RegionConfig(alpha=0.05, nsamples=100, seed=5)
         with pytest.raises(EmptyRegionError):
             sample_region(chain, cfg, np.random.default_rng(5))
@@ -85,9 +89,9 @@ class TestSampleRegion:
         chain = privatize_gram(gram, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9),
                                np.random.default_rng(9))
         cfg = RegionConfig(alpha=0.2, nsamples=100, seed=9)
-        from dpms.regions import _WishartBall
+        from dpms.mechanisms import _WishartBall
 
-        ball = _WishartBall(chain, cfg.alpha, np.random.default_rng(10),
+        ball = _WishartBall(chain.law, cfg.alpha, np.random.default_rng(10),
                             calibration_draws=4000)
         inside = sum(ball.contains(ball.sample(np.random.default_rng(100 + i)))
                      for i in range(20))
@@ -98,8 +102,6 @@ class TestSampleRegion:
 class TestMapFunctional:
     def test_identical_candidates_single_bin(self):
         gram = toy_gram(p=2, seed=11)
-        from dpms.regions import RegionSamples
-
         samples = RegionSamples([gram.g.copy(), gram.g.copy()], 0, gram.n)
         hist = map_functional(samples, Functional.inclusion(0),
                               InfoCriterionSpec.bic())
@@ -114,7 +116,7 @@ class TestMapFunctional:
         hist = map_functional(samples, Functional.inclusion(1),
                               InfoCriterionSpec.bic())
         assert np.all((hist.samples >= 0) & (hist.samples <= 1))
-        assert 0.0 <= histogram_mean_estimate(hist) <= 1.0
+        assert 0.0 <= hist.mean <= 1.0
         assert hist.bin_edges[0] == 0.0 and hist.bin_edges[-1] == 1.0
 
     def test_zero_noise_histogram_mean_equals_oracle(self):
@@ -135,10 +137,28 @@ class TestMapFunctional:
         hist = map_functional(samples, Functional.beta(0), InfoCriterionSpec.bic())
         assert hist.counts.sum() == hist.accepted
 
+    @pytest.mark.parametrize("stat", [InfoCriterionSpec.bic(), GPriorSpec.sample_size()],
+                             ids=["bic", "g"])
+    def test_sure_inclusion_stays_in_unit_bins(self, stat):
+        # Summed posterior masses of a predictor every likely model holds
+        # can round to 1 + 2^-52, which the fixed [0, 1] bins would drop.
+        rng = np.random.default_rng(4)
+        n, p = 5000, 5
+        x = rng.uniform(-0.5, 0.5, size=(n, p))
+        y = x @ np.array([0.6, -0.5, 0.4, 0.0, 0.0]) + 0.1 * rng.standard_normal(n)
+        chain = oracle_chain(build_gram(reparametrize(
+            RegressionData(y=y, x0=np.ones((n, 1)), x=x))))
+        assert np.all(enumerate_posterior(chain, stat).inclusion <= 1.0)
+        samples = sample_region(chain, RegionConfig(alpha=0.05, nsamples=100), rng)
+        hist = map_functional(samples, Functional.inclusion(0), stat)
+        assert hist.counts.sum() == hist.accepted
+
 
 def test_histogram_mean_reference_values():
-    hist = FunctionalHistogram(
-        bin_edges=np.linspace(0, 1, 51), counts=np.zeros(50), mean=0.5,
-        accepted=2, rejected_non_pd=0, samples=np.array([0.0, 1.0]),
-    )
-    assert histogram_mean_estimate(hist) == 0.5
+    # The histogram mean is the exact mean of the candidates' values, not
+    # a binned approximation.
+    grams = [toy_gram(p=2, seed=s).g for s in (20, 21, 22)]
+    stat = InfoCriterionSpec.bic()
+    hist = map_functional(RegionSamples(grams, 0, 200), Functional.beta(0), stat)
+    want = [enumerate_posterior(g, stat, n=200).beta_avg[0] for g in grams]
+    assert hist.mean == pytest.approx(sum(want) / 3, rel=1e-15)
