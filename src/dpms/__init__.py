@@ -46,6 +46,7 @@ from .linmodel import (
     RegressionData,
     log_bayes_factor,
     log_info_criterion,
+    log_stat,
     r_squared,
     reparametrize,
     zs_shrinkage,
@@ -59,6 +60,7 @@ from .mechanisms import (
     ZeroGramLaw,
     analytic_gaussian_sigma,
     child_rng,
+    draw_chunks,
     gram_law,
     laplace_gram_error,
     subsample_noise_scale,

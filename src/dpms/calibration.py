@@ -19,7 +19,9 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import betaln
 
 from .errors import ConfigError, DataError, InsufficientSimulationsError
-from .linmodel import GPriorSpec, InfoCriterionSpec, log_bayes_factor, log_info_criterion
+from .linmodel import GPriorSpec, InfoCriterionSpec, log_stat
+# Bound here because perfbench/tracing.py wraps it under dpms.calibration.
+from .linmodel import log_bayes_factor  # noqa: F401
 from .mechanisms import PrivacyBudget, subsample_noise_scale
 from .split_aggregate import CensorBounds
 
@@ -114,24 +116,9 @@ def _zs_interpolator(b: int, p: int, p0: int) -> PchipInterpolator:
     linear as r2 -> 1; interpolation error is below 1e-6 across the grid.
     """
     t = np.linspace(math.log(1e-12), 0.0, 2000)
-    r2 = -np.expm1(t)
-    vals = np.array([log_bayes_factor(float(r), b, p, p0, GPriorSpec.zellner_siow())
-                     for r in r2])
+    vals = log_stat(-np.expm1(t), b, p, p0, GPriorSpec.zellner_siow())[0]
     order = np.argsort(t)
     return PchipInterpolator(t[order], vals[order])
-
-
-def _stat_evaluator(stat, b: int, p: int, p0: int):
-    """Vectorized log-statistic as a function of an R^2 array."""
-    if isinstance(stat, GPriorSpec):
-        if stat.kind == "zellner-siow":
-            interp = _zs_interpolator(b, p, p0)
-            return lambda r2: interp(np.log1p(-r2))
-        g = float(b) if stat.kind == "sample-size" else stat.g
-        return lambda r2: (0.5 * (b - p - p0) * math.log1p(g)
-                           - 0.5 * (b - p0) * np.log1p(g * (1.0 - r2)))
-    rho = stat.rho_at(b, p)
-    return lambda r2: -0.5 * rho * math.log(b) - 0.5 * b * np.log1p(-r2)
 
 
 def simulate_null_bf(
@@ -148,7 +135,8 @@ def simulate_null_bf(
     Under the null, R^2_i in a subset of size b_i follows
     Beta(p/2, (b_i - p - p0)/2); the statistic is evaluated per subset
     with b_i as its sample size and then censored, averaged, and noised
-    exactly as in the release pipeline.
+    exactly as in the release pipeline.  The Zellner-Siow statistic is
+    read off its interpolant in R^2.
     """
     if cfg.subset_sizes is None:
         raise ConfigError("simulate_null_bf requires subset_sizes in the configuration")
@@ -158,7 +146,10 @@ def simulate_null_bf(
     cols = np.empty((cfg.nsim, cfg.M))
     for i, b in enumerate(cfg.subset_sizes):
         r2 = rng.beta(0.5 * p, 0.5 * (b - p - p0), size=cfg.nsim)
-        cols[:, i] = _stat_evaluator(stat, int(b), p, p0)(r2)
+        if isinstance(stat, GPriorSpec) and stat.kind == "zellner-siow":
+            cols[:, i] = _zs_interpolator(int(b), p, p0)(np.log1p(-r2))
+        else:
+            cols[:, i] = log_stat(r2, int(b), p, p0, stat)[0]
     np.clip(cols, cfg.bounds.L, cfg.bounds.U, out=cols)
     agg = cols.mean(axis=1) + _noise_draws(cfg, rng, with_noise)
     stat_vals = np.clip(agg, cfg.bounds.L, cfg.bounds.U)

@@ -1,7 +1,8 @@
 """Batch command line: test, calibrate, select, region, simulate.
 
 Configuration comes from an optional JSON file plus flag overrides (flags
-win).  Every artifact embeds the resolved configuration and seed, so a
+win); a file key that is not an option of the command is a configuration
+error.  Every artifact embeds the resolved configuration and seed, so a
 run can be reproduced from its own output.  Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -155,12 +156,17 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(cfg) - set(vars(args)))
+        if unknown:
+            raise ConfigError(f"config file keys not read by {args.command}: "
+                              + ", ".join(unknown))
     for key, value in vars(args).items():
         if key == "config" or value is None or value is False:
             continue
         cfg[key] = value
     for key, value in _DEFAULTS.items():
-        cfg.setdefault(key, value)
+        if key in vars(args):
+            cfg.setdefault(key, value)
     if cfg.get("seed") is None:
         raise ConfigError("a seed is mandatory (pass --seed or set it in the config)")
     cfg["command"] = args.command
@@ -318,6 +324,7 @@ def _cmd_select(cfg: dict, out: Path) -> None:
         "top_model": format(post.top_model(), f"0{post.p}b")[::-1],
         "r": chain.r,
         "e_lambda": chain.e_lambda,
+        "r2_clamps": post.r2_clamps,
         "mechanism": chain.law.name,
         "epsilon": budget.epsilon if budget else None,
         "delta": budget.delta if budget else None,

@@ -11,12 +11,13 @@ probabilities, inclusion probabilities, and model-averaged coefficients.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import (
     ConfigError,
@@ -24,23 +25,18 @@ from .errors import (
     NumericError,
     RepairFailureError,
 )
-from .linmodel import (
-    CenteredData,
-    GPriorSpec,
-    InfoCriterionSpec,
-    log_bayes_factor,
-    log_info_criterion,
-    zs_shrinkage,
-)
+from .linmodel import CenteredData, GPriorSpec, InfoCriterionSpec, log_stat
 from .mechanisms import (
     LaplaceGramLaw,
     PrivacyBudget,
     Sensitivity,
     WishartGramLaw,
     ZeroGramLaw,
+    draw_chunks,
     gram_law,
 )
 # Bound here because perfbench/tracing.py wraps them under dpms.gram.
+from .linmodel import log_bayes_factor, log_info_criterion, zs_shrinkage  # noqa: F401
 from .mechanisms import laplace_gram_error, wishart_gram_error  # noqa: F401
 
 __all__ = [
@@ -62,6 +58,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ENUMERATION_GUARD = 25
+# Largest temporary of a batched enumeration pass, in float64 entries (2 MB).
+STACK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,10 @@ def _min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def _draw_error(chain: GramChain, rng: np.random.Generator) -> np.ndarray:
-    # A function of its own because perfbench/tracing.py wraps it.
-    return chain.law.sample(rng)
+def _draw_error(chain: GramChain, rng: np.random.Generator, size: int | None = None):
+    # Kept because perfbench/tracing.py wraps it; pd_repair now draws its
+    # stacks through mechanisms.draw_chunks.
+    return chain.law.sample(rng, size)
 
 
 def pd_repair(
@@ -177,7 +176,8 @@ def pd_repair(
     """
     base = chain._pre_repair()
     if r is None:
-        mins = np.array([_min_eig(_draw_error(chain, rng)) for _ in range(n_draws)])
+        mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0]
+                               for e in draw_chunks(chain.law, n_draws, rng)])
         r = float(np.quantile(np.maximum(-mins, 0.0), 0.99))
         candidate = base + r * np.eye(base.shape[0])
         if _min_eig(candidate) <= 0.0:
@@ -223,7 +223,8 @@ def synthetic_dataset(g_reg: np.ndarray, n: int, rng: np.random.Generator) -> np
 
 
 class _ClampCounter:
-    """Counts how often a noisy R^2 had to be clamped into [0, 1)."""
+    """Counts how often a noisy R^2 had to be clamped into [0, 1), over
+    every enumeration of the process (each posterior has its own count)."""
 
     def __init__(self):
         self.count = 0
@@ -235,8 +236,60 @@ class _ClampCounter:
 r2_clamp_counter = _ClampCounter()
 
 
-def _gamma_indices(gamma: int, p: int) -> np.ndarray:
-    return np.flatnonzero([(gamma >> j) & 1 for j in range(p)])
+def _fit(gs: np.ndarray, idx: np.ndarray):
+    """Coefficient blocks (S, C, k) and R^2 values (S, C) of the submodels
+    ``idx`` (C, k) of every matrix in the stack gs (S, m, m), from one
+    batched solve of the normal equations.
+
+    Values outside [0, 1) from a noisy matrix are clamped into it and
+    counted, per matrix (the third result) and in ``r2_clamp_counter``.
+    """
+    p = gs.shape[-1] - 1
+    w = gs[:, idx, p]
+    try:
+        coef = np.linalg.solve(gs[:, idx[:, :, None], idx[:, None, :]], w[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"singular submodel block among the size-{idx.shape[1]} models") from exc
+    r2 = (w * coef).sum(axis=-1) / gs[:, p, p, None]
+    clamps = np.count_nonzero(~((r2 >= 0.0) & (r2 < 1.0)), axis=1)
+    if clamps.any():
+        r2_clamp_counter.count += int(clamps.sum())
+        log.debug("clamped %d out-of-range noisy R^2 values", clamps.sum())
+        r2 = np.clip(r2, 0.0, 1.0 - 1e-12)
+    return coef, r2, clamps
+
+
+def _submodels(gs: np.ndarray, n: int, stat: GPriorSpec | InfoCriterionSpec, p0: int):
+    """Every nonempty submodel of every matrix in the stack gs (S, m, m).
+
+    Size class by size class, in chunks whose (S, C, k, k) block stack
+    stays within STACK_FLOATS, yields ``(idx, coef, log_stat, shrink,
+    clamps)``: the predictor indices (C, k), the coefficient blocks
+    (S, C, k), the log statistic and shrinkage (S, C) of :func:`log_stat`,
+    and the per-matrix clamp counts of :func:`_fit`.
+    """
+    s, m, _ = gs.shape
+    p = m - 1
+    for k in range(1, p + 1):
+        combos = itertools.combinations(range(p), k)
+        step = max(1, STACK_FLOATS // (s * k * k))
+        while chunk := list(itertools.islice(combos, step)):
+            idx = np.array(chunk)
+            coef, r2, clamps = _fit(gs, idx)
+            yield (idx, coef, *log_stat(r2, n, k, p0, stat), clamps)
+
+
+def _gammas(idx: np.ndarray) -> np.ndarray:
+    """Bitmask model index of each row of predictor indices."""
+    return (1 << idx).sum(axis=1)
+
+
+def _add_to_columns(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """out[s, idx[c, t]] += vals[s, c, t] over every model c and slot t."""
+    s, p = out.shape
+    cols = (np.arange(s)[:, None] * p + idx.ravel()).ravel()
+    out += np.bincount(cols, weights=vals.ravel(), minlength=s * p).reshape(s, p)
 
 
 def r2_gamma(g_reg: np.ndarray, gamma: int) -> float:
@@ -246,23 +299,11 @@ def r2_gamma(g_reg: np.ndarray, gamma: int) -> float:
     the model); the empty model returns 0.  Values outside [0, 1) from a
     noisy matrix are clamped, counted in ``r2_clamp_counter``.
     """
-    p = g_reg.shape[0] - 1
+    g = np.asarray(g_reg, dtype=float)
     if gamma == 0:
         return 0.0
-    idx = _gamma_indices(gamma, p)
-    s = g_reg[np.ix_(idx, idx)]
-    w = g_reg[idx, p]
-    zz = g_reg[p, p]
-    try:
-        sol = cho_solve(cho_factor(s, lower=True), w)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for PD input
-        raise NumericError(f"singular submodel block for gamma={gamma:b}") from exc
-    r2 = float(w @ sol) / zz
-    if not 0.0 <= r2 < 1.0:
-        r2_clamp_counter.count += 1
-        log.debug("clamped out-of-range noisy R^2 (%.6g) for gamma=%s", r2, bin(gamma))
-        r2 = min(max(r2, 0.0), 1.0 - 1e-12)
-    return r2
+    idx = np.flatnonzero([(gamma >> j) & 1 for j in range(g.shape[0] - 1)])
+    return float(_fit(g[None], idx[None])[1][0, 0])
 
 
 def model_prior_log(gamma: int, p: int, kind: str = "hierarchical") -> float:
@@ -277,22 +318,14 @@ def model_prior_log(gamma: int, p: int, kind: str = "hierarchical") -> float:
     raise ConfigError(f"unknown model prior kind {kind!r}")
 
 
-def _log_bf_gamma(r2: float, n: int, size: int, p0: int,
-                  stat: GPriorSpec | InfoCriterionSpec) -> float:
-    if size == 0:
-        return 0.0
-    if isinstance(stat, GPriorSpec):
-        return log_bayes_factor(r2, n, size, p0, stat)
-    # rho resolves at the submodel size, increasing in |gamma|.
-    return log_info_criterion(r2, n, size, stat)
-
-
 @dataclass(frozen=True)
 class ModelPosterior:
     """Posterior over the 2^p models plus derived summaries.
 
     Model index gamma is the integer bitmask; arrays are ordered by
-    gamma = 0 .. 2^p - 1.
+    gamma = 0 .. 2^p - 1.  Enumerated from a stack of matrices, every
+    array (and ``r2_clamps``) gains a leading stack axis.  ``r2_clamps``
+    counts the noisy R^2 values that were clamped into [0, 1).
     """
 
     log_marginals: np.ndarray
@@ -302,6 +335,7 @@ class ModelPosterior:
     prior_kind: str
     p: int
     n: int
+    r2_clamps: int | np.ndarray = 0
 
     def top_model(self) -> int:
         return int(np.argmax(self.posterior))
@@ -316,10 +350,13 @@ def enumerate_posterior(
 ) -> ModelPosterior:
     """Posterior over all 2^p models from a released Gram matrix.
 
-    ``source`` is a repaired GramChain (preferred: the chain carries n)
-    or a bare positive-definite matrix plus explicit n.  Log marginals
-    are prior + log Bayes factor (or log information criterion) and are
-    normalized by log-sum-exp.
+    ``source`` is a repaired GramChain (preferred: the chain carries n),
+    a bare positive-definite matrix plus explicit n, or a stack (S, m, m)
+    of such matrices plus n.  Log marginals are prior + log Bayes factor
+    (or log information criterion) and are normalized by log-sum-exp.
+    One pass over the size classes gives every model's log marginal and
+    coefficient block; the model-averaged coefficients accumulate along
+    the way, rescaled whenever the running maximum log marginal grows.
     """
     if isinstance(source, GramChain):
         g = source.released
@@ -328,49 +365,40 @@ def enumerate_posterior(
         g = np.asarray(source, dtype=float)
         if n is None:
             raise ConfigError("enumerate_posterior needs n when given a bare matrix")
-    p = g.shape[0] - 1
+    p = g.shape[-1] - 1
     if p > ENUMERATION_GUARD:
         raise ConfigError(
             f"model space enumeration is capped at p = {ENUMERATION_GUARD} "
             f"(2^{p} models requested); reduce the predictor count"
         )
-    n_models = 1 << p
-    log_marg = np.empty(n_models)
-    for gamma in range(n_models):
-        size = bin(gamma).count("1")
-        r2 = r2_gamma(g, gamma)
-        log_marg[gamma] = (model_prior_log(gamma, p, prior_kind)
-                           + _log_bf_gamma(r2, n, size, p0, stat))
-    shift = log_marg.max()
-    w = np.exp(log_marg - shift)
-    posterior = w / w.sum()
-    inclusion = np.zeros(p)
+    gs = g.reshape((-1, p + 1, p + 1))
+    log_marg = np.empty((gs.shape[0], 1 << p))
+    log_marg[:, 0] = model_prior_log(0, p, prior_kind)
+    shift = log_marg[:, 0].copy()
+    beta = np.zeros((gs.shape[0], p))
+    clamps = np.zeros(gs.shape[0], dtype=int)
+    for idx, coef, lstat, shrink, bad in _submodels(gs, n, stat, p0):
+        lm = model_prior_log((1 << idx.shape[1]) - 1, p, prior_kind) + lstat
+        log_marg[:, _gammas(idx)] = lm
+        top = np.maximum(shift, lm.max(axis=1))
+        beta *= np.exp(shift - top)[:, None]
+        shift = top
+        _add_to_columns(beta, idx, (np.exp(lm - shift[:, None]) * shrink)[..., None] * coef)
+        clamps += bad
+    w = np.exp(log_marg - shift[:, None])
+    total = w.sum(axis=1)
+    posterior = w / total[:, None]
+    beta /= total[:, None]
+    gammas = np.arange(1 << p)
+    inclusion = np.empty((gs.shape[0], p))
     for j in range(p):
-        mask = np.array([(gamma >> j) & 1 for gamma in range(n_models)], dtype=bool)
-        inclusion[j] = posterior[mask].sum()
+        inclusion[:, j] = posterior[:, (gammas >> j) & 1 == 1].sum(axis=1)
     # A sum of masses can round past 1 (to 1 + 2^-52).
     np.clip(inclusion, 0.0, 1.0, out=inclusion)
-    mp = ModelPosterior(
-        log_marginals=log_marg,
-        posterior=posterior,
-        inclusion=inclusion,
-        beta_avg=np.zeros(p),
-        prior_kind=prior_kind,
-        p=p,
-        n=n,
-    )
-    beta = model_averaged_beta(mp, g, stat)
-    return replace(mp, beta_avg=beta)
-
-
-def _shrinkage(stat, r2: float, n: int, size: int, p0: int) -> float:
-    if isinstance(stat, InfoCriterionSpec):
-        return 1.0
-    if stat.kind == "fixed-g":
-        return stat.g / (1.0 + stat.g)
-    if stat.kind == "sample-size":
-        return n / (1.0 + n)
-    return zs_shrinkage(r2, n, size, p0)
+    if g.ndim == 2:
+        return ModelPosterior(log_marg[0], posterior[0], inclusion[0], beta[0],
+                              prior_kind, p, n, int(clamps[0]))
+    return ModelPosterior(log_marg, posterior, inclusion, beta, prior_kind, p, n, clamps)
 
 
 def model_averaged_beta(
@@ -385,18 +413,11 @@ def model_averaged_beta(
     from the released Gram matrix; g-priors shrink it by g/(1+g) (its
     posterior mean for Zellner-Siow), information criteria use the
     unshrunk least-squares solution.  Off-support coordinates are zero.
+    :func:`enumerate_posterior` computes the same estimate in its own pass.
     """
-    p = posterior.p
-    beta = np.zeros(p)
-    for gamma in range(1 << p):
-        weight = posterior.posterior[gamma]
-        if weight == 0.0 or gamma == 0:
-            continue
-        idx = _gamma_indices(gamma, p)
-        s = g_reg[np.ix_(idx, idx)]
-        w = g_reg[idx, p]
-        coef = cho_solve(cho_factor(s, lower=True), w)
-        size = idx.size
-        r2 = r2_gamma(g_reg, gamma)
-        beta[idx] += weight * _shrinkage(stat, r2, posterior.n, size, p0) * coef
-    return beta
+    beta = np.zeros((1, posterior.p))
+    gs = np.asarray(g_reg, dtype=float)[None]
+    for idx, coef, _, shrink, _ in _submodels(gs, posterior.n, stat, p0):
+        weights = posterior.posterior[_gammas(idx)] * shrink
+        _add_to_columns(beta, idx, weights[..., None] * coef)
+    return beta[0]

@@ -26,9 +26,11 @@ from .linmodel import (
     GPriorSpec,
     InfoCriterionSpec,
     RegressionData,
+    log_stat,
     reparametrize,
-    zs_shrinkage,
 )
+# Bound here because perfbench/tracing.py wraps it under dpms.harness.
+from .linmodel import zs_shrinkage  # noqa: F401
 from .mechanisms import PrivacyBudget, Sensitivity, child_rng
 from .split_aggregate import (
     CensorBounds,
@@ -154,14 +156,8 @@ def _full_model_beta(g: np.ndarray, n: int, stat, p0: int = 1) -> np.ndarray:
     """Coefficients of the all-predictors model from a released Gram."""
     p = g.shape[0] - 1
     coef = np.linalg.solve(g[:p, :p], g[:p, p])
-    if isinstance(stat, InfoCriterionSpec):
-        return coef
-    if stat.kind == "fixed-g":
-        return stat.g / (1.0 + stat.g) * coef
-    if stat.kind == "sample-size":
-        return n / (1.0 + n) * coef
-    r2 = float(g[:p, p] @ coef) / g[p, p]
-    return zs_shrinkage(min(max(r2, 0.0), 1.0 - 1e-12), n, p, p0) * coef
+    r2 = min(max(float(g[:p, p] @ coef) / g[p, p], 0.0), 1.0 - 1e-12)
+    return float(log_stat(r2, n, p, p0, stat)[1]) * coef
 
 
 def _method_chain(

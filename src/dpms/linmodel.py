@@ -24,6 +24,7 @@ __all__ = [
     "InfoCriterionSpec",
     "reparametrize",
     "r_squared",
+    "log_stat",
     "log_bayes_factor",
     "log_info_criterion",
     "zs_shrinkage",
@@ -213,11 +214,34 @@ def _check_r2(r2: float) -> float:
     return float(r2)
 
 
-def _fixed_g_log_bf(r2: float, n: int, p: int, p0: int, g: float) -> float:
-    return 0.5 * (n - p - p0) * math.log1p(g) - 0.5 * (n - p0) * math.log1p(g * (1.0 - r2))
+def log_stat(
+    r2, n: int, k: int, p0: int, stat: GPriorSpec | InfoCriterionSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log statistic and shrinkage factor of size-k models, per R^2 value.
+
+    The log statistic is the log Bayes factor against the null under a
+    g-prior (log of the integral of
+    (g+1)^((n-k-p0)/2) [1 + g (1-R^2)]^(-(n-p0)/2) against the prior on g)
+    or the log information criterion -(rho/2) log n - (n/2) log(1 - R^2).
+    The shrinkage multiplies the least-squares coefficients in the
+    posterior mean: g/(1+g) for a point mass, its posterior mean under
+    Zellner-Siow, 1 for an information criterion.  ``r2`` is an array of
+    values in [0, 1); both results have its shape.
+    """
+    r2 = np.asarray(r2, dtype=float)
+    if isinstance(stat, InfoCriterionSpec):
+        rho = stat.rho_at(n, k)
+        return -0.5 * rho * math.log(n) - 0.5 * n * np.log1p(-r2), np.ones_like(r2)
+    if n <= k + p0:
+        raise DataError(f"need n > p + p0, got n={n}, p={k}, p0={p0}")
+    if stat.kind == "zellner-siow":
+        return _zs_batch(r2, n, k, p0)
+    g = stat.g if stat.kind == "fixed-g" else float(n)
+    return (0.5 * (n - k - p0) * math.log1p(g) - 0.5 * (n - p0) * np.log1p(g * (1.0 - r2)),
+            np.full_like(r2, g / (1.0 + g)))
 
 
-def _zs_log_integrand(s: np.ndarray, r2: float, n: int, p: int, p0: int) -> np.ndarray:
+def _zs_log_integrand(s: np.ndarray, r2, n: int, p: int, p0: int) -> np.ndarray:
     """Log of the Zellner-Siow integrand after g = e^s, including Jacobian.
 
     The mixing density is inverse-gamma(1/2, n/2):
@@ -254,61 +278,122 @@ _G7_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# Both rules as the columns of one (15, 2) matrix, Gauss weights on the
+# Kronrod grid.
+_KG_WEIGHTS = np.column_stack([_K15_WEIGHTS, np.zeros(15)])
+_KG_WEIGHTS[1::2, 1] = _G7_WEIGHTS
+
+
+# Models per vectorized quadrature pass: the coarse peak grid alone takes
+# 2001 values per model.
+ZS_CHUNK = 64
+
+
+def _zs_batch(
+    r2: np.ndarray, n: int, p: int, p0: int, *, epsrel: float = 1e-8, initial_panels: int = 16
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zellner-Siow log integrals and shrinkages for an array of R^2 values,
+    in chunks of ZS_CHUNK models (see :func:`_zs_chunk`)."""
+    if p < 1:
+        raise DataError(f"the tested block must have p >= 1 columns, got {p}")
+    flat = np.asarray(r2, dtype=float).ravel()
+    log_int, shrink = np.empty_like(flat), np.empty_like(flat)
+    for lo in range(0, flat.size, ZS_CHUNK):
+        part = slice(lo, lo + ZS_CHUNK)
+        log_int[part], shrink[part] = _zs_chunk(flat[part], n, p, p0, epsrel, initial_panels)
+    return log_int.reshape(np.shape(r2)), shrink.reshape(np.shape(r2))
+
+
+def _zs_chunk(
+    r2: np.ndarray, n: int, p: int, p0: int, epsrel: float, initial_panels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive Gauss-Kronrod quadrature for the Zellner-Siow integral, run
+    for every R^2 value of a chunk at once.
+
+    The support change u = g/(1+g) = expit(s) with s = log g turns the
+    half-line into a tamed integrand whose peak has O(1) width in s, so
+    panels are laid out in s.  Per model, panels whose Kronrod-Gauss
+    discrepancy exceeds their share of the relative tolerance are split in
+    half until the model's total estimated error is below ``epsrel``; a
+    model leaves the pass as soon as it converges.  The panels of all
+    models live in flat arrays with an owner index, ordered by model and
+    then by position.
+
+    Returns the log integral and the posterior mean of g/(1+g) (the
+    shrinkage factor of the posterior mean under this prior) per model.
+    """
+    size = r2.size
+    # Locate each peak on a coarse grid; the right tail decays like
+    # exp(-s (p+1)/2), so the grid must reach ~160/(p+1) past the mode,
+    # which itself can sit near log(n/p) - log(1-r2).  Grid axis first.
+    s_max = np.array([math.log(10.0 * n) - math.log1p(-r) + 10.0 + 160.0 / (p + 1)
+                      for r in r2])
+    s_grid = np.linspace(-25.0, s_max, 2001)
+    ell = _zs_log_integrand(s_grid, r2, n, p, p0)
+    m = ell.max(axis=0)
+    keep = ell >= m - 80.0
+    models = np.arange(size)
+    s_lo = s_grid[keep.argmax(axis=0), models]
+    s_hi = s_grid[s_grid.shape[0] - 1 - keep[::-1].argmax(axis=0), models]
+    same = s_lo == s_hi
+    s_lo, s_hi = np.where(same, s_lo - 1.0, s_lo), np.where(same, s_hi + 1.0, s_hi)
+
+    edges = np.linspace(s_lo, s_hi, initial_panels + 1).T
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.repeat(models, initial_panels)
+    log_int, shrink = np.empty(size), np.empty(size)
+    for _ in range(40):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        x = mid[:, None] + half[:, None] * _K15_NODES
+        fx = np.exp(_zs_log_integrand(x, r2[owner, None], n, p, p0) - m[owner, None])
+        k15, g7 = (fx @ _KG_WEIGHTS * half[:, None]).T
+        err = np.abs(k15 - g7)
+        panels = np.bincount(owner, minlength=size)
+        total = np.bincount(owner, k15, minlength=size)
+        done = (total > 0.0) & (np.bincount(owner, err, minlength=size) <= epsrel * total)
+        if done.any():
+            k15_u = np.bincount(owner, (expit(x) * fx) @ _K15_WEIGHTS * half, minlength=size)
+            log_int[done] = m[done] + np.log(total[done])
+            shrink[done] = k15_u[done] / total[done]
+            live = ~done[owner]
+            if not live.any():
+                return log_int, shrink
+            a, b, mid, err, owner = a[live], b[live], mid[live], err[live], owner[live]
+        tol = epsrel * np.maximum(total, np.finfo(float).tiny) / np.maximum(panels, 1)
+        bad = err > tol[owner]
+        calm = np.bincount(owner, bad, minlength=size)[owner] == 0
+        if calm.any():
+            # A model with no panel over its share splits its worst panels.
+            worst = np.full(size, -np.inf)
+            np.maximum.at(worst, owner, err)
+            bad |= calm & (err == worst[owner])
+        # Split each bad panel [a, b] at its midpoint, in place.
+        rep = 1 + bad
+        grown = np.bincount(owner, rep, minlength=size)
+        if grown.max() > 4096:
+            stuck = int(grown.argmax())
+            break
+        first = np.cumsum(rep) - rep
+        a, b, owner = np.repeat(a, rep), np.repeat(b, rep), np.repeat(owner, rep)
+        b[first[bad]] = mid[bad]
+        a[first[bad] + 1] = mid[bad]
+    else:
+        stuck = int(owner[0])
+    raise NumericError(
+        "Zellner-Siow quadrature did not converge",
+        {"r2": float(r2[stuck]), "n": n, "p": p, "p0": p0, "panels": int(panels[stuck])},
+    )
 
 
 def _zs_quadrature(
     r2: float, n: int, p: int, p0: int, *, epsrel: float = 1e-8, initial_panels: int = 16
 ) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod quadrature for the Zellner-Siow integral.
-
-    The support change u = g/(1+g) = expit(s) with s = log g turns the
-    half-line into a tamed integrand whose peak has O(1) width in s, so
-    panels are laid out in s.  Panels whose Kronrod-Gauss discrepancy
-    exceeds its share of the relative tolerance are split in half until
-    the total estimated error is below ``epsrel``.
-
-    Returns (log integral, posterior mean of g/(1+g)); the latter is the
-    shrinkage factor of the posterior mean under this prior.
-    """
-    if p < 1:
-        raise DataError(f"the tested block must have p >= 1 columns, got {p}")
-    # Locate the peak on a coarse grid; the right tail decays like
-    # exp(-s (p+1)/2), so the grid must reach ~160/(p+1) past the mode,
-    # which itself can sit near log(n/p) - log(1-r2).
-    s_max = math.log(10.0 * n) - math.log1p(-r2) + 10.0 + 160.0 / (p + 1)
-    s_grid = np.linspace(-25.0, s_max, 2001)
-    ell = _zs_log_integrand(s_grid, r2, n, p, p0)
-    m = float(ell.max())
-    keep = np.flatnonzero(ell >= m - 80.0)
-    s_lo, s_hi = float(s_grid[keep[0]]), float(s_grid[keep[-1]])
-    if s_lo == s_hi:
-        s_lo, s_hi = s_lo - 1.0, s_hi + 1.0
-
-    edges = np.linspace(s_lo, s_hi, initial_panels + 1)
-    for _ in range(40):
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
-        fx = np.exp(_zs_log_integrand(x, r2, n, p, p0) - m)
-        k15 = (fx * _K15_WEIGHTS).sum(axis=1) * half
-        g7 = (fx[:, 1::2] * _G7_WEIGHTS).sum(axis=1) * half
-        err = np.abs(k15 - g7)
-        total = float(k15.sum())
-        if total > 0.0 and err.sum() <= epsrel * total:
-            k15_u = (expit(x) * fx * _K15_WEIGHTS).sum(axis=1) * half
-            return m + math.log(total), float(k15_u.sum()) / total
-        bad = err > (epsrel * max(total, np.finfo(float).tiny)) / err.size
-        if not bad.any():
-            bad = err == err.max()
-        new_edges = np.sort(np.concatenate([edges, mid[bad]]))
-        if new_edges.size > 4097:
-            break
-        edges = new_edges
-    raise NumericError(
-        "Zellner-Siow quadrature did not converge",
-        {"r2": r2, "n": n, "p": p, "p0": p0, "panels": edges.size - 1},
-    )
+    """(log integral, shrinkage) of the Zellner-Siow quadrature for one R^2
+    value (see :func:`_zs_chunk`)."""
+    log_int, shrink = _zs_batch(np.array([r2], dtype=float), n, p, p0,
+                                epsrel=epsrel, initial_panels=initial_panels)
+    return float(log_int[0]), float(shrink[0])
 
 
 def zs_shrinkage(r2: float, n: int, p: int, p0: int) -> float:
@@ -317,24 +402,11 @@ def zs_shrinkage(r2: float, n: int, p: int, p0: int) -> float:
 
 
 def log_bayes_factor(r2: float, n: int, p: int, p0: int, prior: GPriorSpec) -> float:
-    """Log Bayes factor of the tested block against the null, given R^2.
-
-    Evaluates log of the integral of
-    (g+1)^((n-p-p0)/2) [1 + g (1-R^2)]^(-(n-p0)/2)
-    against the g-prior, entirely in log space.
-    """
-    r2 = _check_r2(r2)
-    if n <= p + p0:
-        raise DataError(f"need n > p + p0, got n={n}, p={p}, p0={p0}")
-    if prior.kind == "fixed-g":
-        return _fixed_g_log_bf(r2, n, p, p0, prior.g)
-    if prior.kind == "sample-size":
-        return _fixed_g_log_bf(r2, n, p, p0, float(n))
-    return _zs_quadrature(r2, n, p, p0)[0]
+    """Log Bayes factor of the tested block against the null, given R^2
+    (see :func:`log_stat`)."""
+    return float(log_stat(_check_r2(r2), n, p, p0, prior)[0])
 
 
 def log_info_criterion(r2: float, n: int, p: int, spec: InfoCriterionSpec) -> float:
     """Log information criterion: -(rho/2) log n - (n/2) log(1 - R^2)."""
-    r2 = _check_r2(r2)
-    rho = spec.rho_at(n, p)
-    return -0.5 * rho * math.log(n) - 0.5 * n * math.log1p(-r2)
+    return float(log_stat(_check_r2(r2), n, p, 0, spec)[0])

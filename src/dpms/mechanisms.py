@@ -5,10 +5,11 @@ its law once, from the budget: :func:`subsample_noise_scale` gives the
 Laplace or analytic-Gaussian law of a subsample-and-aggregate mean, and
 :func:`gram_law` the Laplace or Wishart error law of the Gram release
 (:class:`ZeroGramLaw` is the zero-noise oracle).  A Gram law samples its
-error, gives the quantiles of an off-diagonal entry's absolute value (for
-hard thresholds), and builds the central acceptance set that confidence
-regions sample from.  Everything is pure given a
-``numpy.random.Generator``; callers own their streams (see
+error (one draw, or a stack equal to that many single draws in turn, so
+batching never moves a stream), gives the quantiles of an off-diagonal
+entry's absolute value (for hard thresholds), and builds the central
+acceptance set that confidence regions sample from.  Everything is pure
+given a ``numpy.random.Generator``; callers own their streams (see
 :func:`child_rng`).
 """
 
@@ -35,6 +36,7 @@ __all__ = [
     "classical_gaussian_sigma",
     "subsample_noise_scale",
     "gram_law",
+    "draw_chunks",
     "laplace_gram_scale",
     "laplace_gram_error",
     "wishart_dof",
@@ -43,6 +45,8 @@ __all__ = [
 
 # Monte-Carlo draws behind the Wishart off-diagonal quantile.
 QUANTILE_DRAWS = 100_000
+# Largest stack of Gram error draws formed at once.
+DRAW_CHUNK = 2_000
 
 
 @dataclass(frozen=True)
@@ -225,23 +229,47 @@ def wishart_dof(p: int, budget: PrivacyBudget) -> int:
     return int(math.floor(p + 1 + 28.0 * math.log(4.0 / budget.delta) / budget.epsilon**2))
 
 
-def _wishart_bartlett(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One Wishart(k, I_dim) draw via the Bartlett decomposition."""
-    a = np.zeros((dim, dim))
+def _wishart_bartlett(dim: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` Wishart(k, I_dim) draws via the Bartlett decomposition.
+
+    The raw variates are taken draw by draw, in the order one draw at a
+    time would take them (the below-diagonal normals, then the diagonal
+    chi-squares), so the stack equals ``size`` single draws; only the
+    products are formed as one batch.
+    """
     il = np.tril_indices(dim, k=-1)
-    a[il] = rng.standard_normal(dim * (dim - 1) // 2)
-    a[np.diag_indices(dim)] = np.sqrt(rng.chisquare(k - np.arange(dim)))
-    return a @ a.T
+    normals = np.empty((size, il[0].size))
+    chi2 = np.empty((size, dim))
+    dof = (k - np.arange(dim)).astype(float)
+    for i in range(size):
+        rng.standard_normal(out=normals[i])
+        chi2[i] = rng.chisquare(dof)
+    a = np.zeros((size, dim, dim))
+    a[:, il[0], il[1]] = normals
+    a[:, np.arange(dim), np.arange(dim)] = np.sqrt(chi2)
+    return a @ a.transpose(0, 2, 1)
 
 
 def _symmetric(dim: int, upper: np.ndarray) -> np.ndarray:
-    """The symmetric dim x dim matrix whose upper triangle, read row by
-    row, is ``upper``."""
-    e = np.zeros((dim, dim))
+    """The symmetric dim x dim matrices whose upper triangles, read row by
+    row, are the last axis of ``upper``."""
+    e = np.zeros(upper.shape[:-1] + (dim, dim))
     iu = np.triu_indices(dim)
-    e[iu] = upper
-    e.T[iu] = upper
+    e[..., iu[0], iu[1]] = upper
+    e[..., iu[1], iu[0]] = upper
     return e
+
+
+def _one_or_stack(draw, size: int | None) -> np.ndarray:
+    """``draw(n)`` gives an (n, m, m) stack; one matrix when size is None."""
+    return draw(1)[0] if size is None else draw(size)
+
+
+def draw_chunks(law, n: int, rng: np.random.Generator):
+    """``n`` draws of ``law`` as consecutive stacks of at most DRAW_CHUNK,
+    so no stack outgrows a few MB; together they equal ``n`` single draws."""
+    for start in range(0, n, DRAW_CHUNK):
+        yield law.sample(rng, min(DRAW_CHUNK, n - start))
 
 
 @dataclass(frozen=True)
@@ -259,9 +287,13 @@ class LaplaceGramLaw:
         if not self.scale > 0:
             raise ConfigError(f"Laplace scale must be positive, got {self.scale}")
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """One (p+1)x(p+1) error, or a (size, p+1, p+1) stack equal to
+        ``size`` single draws in turn."""
         m = self.p + 1
-        return _symmetric(m, rng.laplace(0.0, self.scale, size=m * (m + 1) // 2))
+        return _one_or_stack(
+            lambda n: _symmetric(m, rng.laplace(0.0, self.scale, size=(n, m * (m + 1) // 2))),
+            size)
 
     def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
         # |Laplace(b)| has CDF 1 - exp(-t/b).
@@ -291,9 +323,14 @@ class WishartGramLaw:
         if not self.l2 > 0:
             raise ConfigError("row-norm bound must be positive")
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        m = self.l2**2 * _wishart_bartlett(self.p + 1, self.k, rng)
-        return m - self.k * self.l2**2 * np.eye(self.p + 1)
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """One (p+1)x(p+1) error, or a (size, p+1, p+1) stack equal to
+        ``size`` single draws in turn."""
+        m = self.p + 1
+        return _one_or_stack(
+            lambda n: (self.l2**2 * _wishart_bartlett(m, self.k, n, rng)
+                       - self.k * self.l2**2 * np.eye(m)),
+            size)
 
     def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
         # An off-diagonal entry of Wishart(k, I) is sum_l x_l y_l with x, y
@@ -315,8 +352,9 @@ class ZeroGramLaw:
     name: ClassVar[str] = "none"
     budget: ClassVar[None] = None
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros((self.p + 1, self.p + 1))
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        m = self.p + 1
+        return _one_or_stack(lambda n: np.zeros((n, m, m)), size)
 
     def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
         return 0.0
@@ -368,9 +406,9 @@ def wishart_gram_error(
 class _CentralSet:
     """A central (1-alpha) set of Gram errors."""
 
-    def draws(self, n: int, rng: np.random.Generator):
-        """Error draws restricted to the set, n of them."""
-        return (self.sample(rng) for _ in range(n))
+    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n error draws restricted to the set, as an (n, m, m) stack."""
+        return np.concatenate(list(draw_chunks(self, n, rng)))
 
 
 class _LaplaceBox(_CentralSet):
@@ -391,17 +429,21 @@ class _LaplaceBox(_CentralSet):
         iu = np.triu_indices(self.dim)
         return bool(np.all(np.abs(e[iu]) <= self.half_width))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         # Inverse-CDF sampling of Laplace truncated to [-w, w]: the CDF at
         # w is 1 - exp(-w/b)/2, symmetric about 1/2.
         hi = 1.0 - 0.5 * math.exp(-self.half_width / self.scale)
-        u = rng.uniform(1.0 - hi, hi, size=self.dim * (self.dim + 1) // 2)
-        draws = np.where(
-            u < 0.5,
-            self.scale * np.log(2.0 * u),
-            -self.scale * np.log(2.0 * (1.0 - u)),
-        )
-        return _symmetric(self.dim, draws)
+
+        def draw(n):
+            u = rng.uniform(1.0 - hi, hi, size=(n, self.dim * (self.dim + 1) // 2))
+            draws = np.where(
+                u < 0.5,
+                self.scale * np.log(2.0 * u),
+                -self.scale * np.log(2.0 * (1.0 - u)),
+            )
+            return _symmetric(self.dim, draws)
+
+        return _one_or_stack(draw, size)
 
 
 class _WishartBall(_CentralSet):
@@ -412,23 +454,45 @@ class _WishartBall(_CentralSet):
     an acceptance set of probability 1 - alpha; sampling is by rejection.
     """
 
+    # Consecutive rejections after which rejection sampling gives up.
+    STALL = 10_000
+
     def __init__(self, law: WishartGramLaw, alpha: float, rng: np.random.Generator,
                  calibration_draws: int = 100_000):
         self.law = law
-        norms = np.empty(calibration_draws)
-        for i in range(calibration_draws):
-            norms[i] = np.abs(np.linalg.eigvalsh(law.sample(rng))).max()
+        norms = np.concatenate([_spectral_norms(e)
+                                for e in draw_chunks(law, calibration_draws, rng)])
         self.radius = float(np.quantile(norms, 1.0 - alpha))
 
     def contains(self, e: np.ndarray) -> bool:
-        return bool(np.abs(np.linalg.eigvalsh(e)).max() <= self.radius)
+        return bool(_spectral_norms(e) <= self.radius)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        for _ in range(10_000):
-            e = self.law.sample(rng)
-            if self.contains(e):
-                return e
-        raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        return _one_or_stack(lambda n: self._accepted(n, rng), size)
+
+    def _accepted(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # Each round draws only as many errors as are still missing, so no
+        # draw lands past the n-th acceptance and the stream is consumed
+        # exactly as by n rejection loops in turn (n is at most DRAW_CHUNK
+        # when called through draws()).
+        kept: list[np.ndarray] = []
+        missing, run = n, 0
+        while missing:
+            e = self.law.sample(rng, missing)
+            ok = _spectral_norms(e) <= self.radius
+            hits = np.flatnonzero(ok)
+            gaps = np.diff(hits, prepend=-1 - run) - 1
+            run = ok.size - 1 - hits[-1] if hits.size else run + ok.size
+            if max(run, gaps.max(initial=0)) >= self.STALL:
+                raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
+            kept.append(e[ok])
+            missing -= hits.size
+        return np.concatenate(kept)
+
+
+def _spectral_norms(e: np.ndarray) -> np.ndarray:
+    """Largest absolute eigenvalue of each symmetric matrix in a stack."""
+    return np.abs(np.linalg.eigvalsh(e)).max(axis=-1)
 
 
 class _Origin(_CentralSet):
@@ -440,8 +504,8 @@ class _Origin(_CentralSet):
     def contains(self, e: np.ndarray) -> bool:
         return bool(np.allclose(e, 0.0))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        return _one_or_stack(lambda n: np.zeros((n, self.dim, self.dim)), size)
 
-    def draws(self, n: int, rng: np.random.Generator):
-        return [self.sample(rng)]  # a single point needs a single candidate
+    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample(rng, 1)  # a single point needs a single candidate

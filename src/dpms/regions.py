@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyRegionError
-from .gram import GramChain, enumerate_posterior
+from .gram import STACK_FLOATS, GramChain, enumerate_posterior
 from .linmodel import GPriorSpec, InfoCriterionSpec
 
 __all__ = [
@@ -46,10 +46,10 @@ class Functional:
     def beta(cls, j: int) -> "Functional":
         return cls("beta", j)
 
-    def extract(self, posterior) -> float:
-        if self.kind == "inclusion":
-            return float(posterior.inclusion[self.index])
-        return float(posterior.beta_avg[self.index])
+    def extract(self, posterior):
+        """The summary of a posterior, or one per matrix of a stacked one."""
+        values = posterior.inclusion if self.kind == "inclusion" else posterior.beta_avg
+        return values[..., self.index]
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,10 @@ class RegionConfig:
 
 @dataclass
 class RegionSamples:
-    """Positive-definite candidate matrices plus rejection diagnostics."""
+    """Positive-definite candidate matrices (a stack, or a list of
+    matrices) plus rejection diagnostics."""
 
-    candidates: list
+    candidates: np.ndarray | list
     rejected_non_pd: int
     n: int
 
@@ -86,20 +87,14 @@ def sample_region(
     itself is the only candidate.
     """
     acc = chain.law.central_set(cfg.alpha, rng)
-    candidates: list[np.ndarray] = []
-    rejected = 0
-    for e in acc.draws(cfg.nsamples, rng):
-        g = chain.g_star - e
-        if np.linalg.eigvalsh(g)[0] > 0.0:
-            candidates.append(g)
-        else:
-            rejected += 1
-    if not candidates:
+    g = chain.g_star - acc.draws(cfg.nsamples, rng)
+    pd = np.linalg.eigvalsh(g)[:, 0] > 0.0
+    if not pd.any():
         raise EmptyRegionError(
             "every confidence-region candidate was rejected as non-positive-definite",
             {"alpha": cfg.alpha, "nsamples": cfg.nsamples, "mechanism": chain.law.name},
         )
-    return RegionSamples(candidates, rejected, chain.n)
+    return RegionSamples(g[pd], int(pd.size - pd.sum()), chain.n)
 
 
 def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig,
@@ -136,17 +131,23 @@ def map_functional(
     prior_kind: str = "hierarchical",
     bins: int = 50,
 ) -> FunctionalHistogram:
-    """Push every candidate through model enumeration and bin the summary.
+    """Push the candidates through model enumeration, a stack at a time,
+    and bin the summary.
 
     Inclusion probabilities are binned on the fixed [0, 1] range; other
     functionals use the observed range.  The reported mean is the exact
     mean of the samples, not a binned approximation.
     """
-    if not samples.candidates:
+    stack = np.asarray(samples.candidates, dtype=float)
+    if stack.shape[0] == 0:
         raise EmptyRegionError("cannot histogram an empty candidate list")
-    values = np.array([
-        functional.extract(enumerate_posterior(g, stat, prior_kind, n=samples.n))
-        for g in samples.candidates
+    # Candidates go through enumeration in stacks whose log marginals,
+    # one row of 2^p per candidate, stay within STACK_FLOATS.
+    step = max(1, STACK_FLOATS >> (stack.shape[-1] - 1))
+    values = np.concatenate([
+        functional.extract(enumerate_posterior(stack[lo:lo + step], stat, prior_kind,
+                                               n=samples.n))
+        for lo in range(0, stack.shape[0], step)
     ])
     if functional.kind == "inclusion":
         edges = np.linspace(0.0, 1.0, bins + 1)

@@ -133,13 +133,13 @@ class TestSimulateNullBf:
         np.testing.assert_allclose(null.sorted_samples, 0.5, atol=1e-8)
 
     def test_zellner_siow_interpolation_matches_direct(self):
-        from dpms.calibration import _stat_evaluator
+        from dpms.calibration import _zs_interpolator
         from dpms.linmodel import log_bayes_factor
 
-        f = _stat_evaluator(GPriorSpec.zellner_siow(), 80, 2, 1)
+        interp = _zs_interpolator(80, 2, 1)
         for r2 in (0.01, 0.2, 0.55, 0.9):
             direct = log_bayes_factor(r2, 80, 2, 1, GPriorSpec.zellner_siow())
-            assert float(f(np.array([r2]))[0]) == pytest.approx(direct, abs=1e-6)
+            assert float(interp(np.log1p(-np.array([r2])))[0]) == pytest.approx(direct, abs=1e-6)
 
     def test_subset_sizes_required(self):
         cfg = NullSimConfig(M=2, bounds=WIDE, budget=PrivacyBudget(1.0), nsim=10)

@@ -29,6 +29,7 @@ from dpms.linmodel import (
     log_bayes_factor,
     r_squared,
     reparametrize,
+    zs_shrinkage,
 )
 from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity, ZeroGramLaw
 
@@ -335,6 +336,111 @@ class TestEnumeratePosterior:
     def test_enumeration_guard(self):
         with pytest.raises(ConfigError, match="capped"):
             enumerate_posterior(np.eye(28), InfoCriterionSpec.bic(), n=100)
+
+
+STATS = {
+    "bic": InfoCriterionSpec.bic(),
+    "aic": InfoCriterionSpec.aic(),
+    "lrt": InfoCriterionSpec.lrt(),
+    "fixed-g": GPriorSpec.fixed(40.0),
+    "sample-size": GPriorSpec.sample_size(),
+    "zs": GPriorSpec.zellner_siow(),
+}
+
+
+def per_model_reference(g, n, stat, prior_kind, p0=1):
+    """Model by model: Cholesky solve, closed-form statistics (the scalar
+    Zellner-Siow wrappers for zs), log-sum-exp, masks."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    p = g.shape[0] - 1
+    log_marg = np.empty(1 << p)
+    parts = []
+    for gamma in range(1 << p):
+        idx = [j for j in range(p) if gamma >> j & 1]
+        k = len(idx)
+        prior = model_prior_log(gamma, p, prior_kind)
+        if not idx:
+            log_marg[gamma] = prior
+            continue
+        w = g[idx, p]
+        coef = cho_solve(cho_factor(g[np.ix_(idx, idx)], lower=True), w)
+        r2 = min(max(float(w @ coef) / g[p, p], 0.0), 1.0 - 1e-12)
+        if isinstance(stat, InfoCriterionSpec):
+            lstat = -0.5 * stat.rho_at(n, k) * math.log(n) - 0.5 * n * math.log1p(-r2)
+            shrink = 1.0
+        elif stat.kind == "zellner-siow":
+            lstat = log_bayes_factor(r2, n, k, p0, stat)
+            shrink = zs_shrinkage(r2, n, k, p0)
+        else:
+            gg = stat.g if stat.kind == "fixed-g" else float(n)
+            lstat = (0.5 * (n - k - p0) * math.log1p(gg)
+                     - 0.5 * (n - p0) * math.log1p(gg * (1.0 - r2)))
+            shrink = gg / (1.0 + gg)
+        log_marg[gamma] = prior + lstat
+        parts.append((gamma, idx, shrink * coef))
+    post = np.exp(log_marg - log_marg.max())
+    post /= post.sum()
+    inclusion = np.array([post[[gm for gm in range(1 << p) if gm >> j & 1]].sum()
+                          for j in range(p)])
+    beta = np.zeros(p)
+    for gamma, idx, coef in parts:
+        beta[idx] += post[gamma] * coef
+    return log_marg, inclusion, beta
+
+
+def random_gram(p, seed, n=300):
+    """Gram of a centered correlated design with a response on part of it."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.4 * rng.standard_normal((p, p)))
+    y = x[:, : (p + 1) // 2] @ rng.uniform(-0.3, 0.3, (p + 1) // 2) + rng.standard_normal(n)
+    d = np.column_stack([x, y])
+    d -= d.mean(axis=0)
+    return d.T @ d, n
+
+
+class TestBatchedEnumeration:
+    """The one-pass enumeration against the per-model loop it replaced."""
+
+    @pytest.mark.parametrize("prior_kind", ["hierarchical", "uniform"])
+    @pytest.mark.parametrize("name", STATS)
+    @pytest.mark.parametrize("p,seed", [(1, 40), (3, 41), (5, 42), (7, 43)])
+    def test_matches_per_model_reference(self, p, seed, name, prior_kind):
+        g, n = random_gram(p, seed)
+        post = enumerate_posterior(g, STATS[name], prior_kind, n=n)
+        log_marg, inclusion, beta = per_model_reference(g, n, STATS[name], prior_kind)
+        np.testing.assert_allclose(post.log_marginals, log_marg, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(post.inclusion, inclusion, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(post.beta_avg, beta, rtol=0, atol=1e-10)
+        assert post.r2_clamps == 0
+
+    @pytest.mark.parametrize("name", ["bic", "zs"])
+    def test_stack_equals_one_matrix_at_a_time(self, name):
+        grams = np.stack([random_gram(4, seed)[0] for seed in range(44, 49)])
+        stacked = enumerate_posterior(grams, STATS[name], n=300)
+        for i, g in enumerate(grams):
+            # Equal up to the summation order of numpy's reductions.
+            single = enumerate_posterior(g, STATS[name], n=300)
+            for field in ("log_marginals", "posterior", "inclusion", "beta_avg"):
+                np.testing.assert_allclose(getattr(stacked, field)[i], getattr(single, field),
+                                           rtol=1e-13, atol=1e-15)
+
+    def test_model_averaged_beta_wrapper_matches_pass(self):
+        g, n = random_gram(5, 49)
+        post = enumerate_posterior(g, STATS["zs"], n=n)
+        np.testing.assert_allclose(model_averaged_beta(post, g, STATS["zs"]), post.beta_avg,
+                                   rtol=0, atol=1e-12)
+
+    def test_noisy_matrix_counts_its_clamps(self):
+        # Laplace noise without repair: some submodel R^2 leaves [0, 1).
+        gram = build_gram(toy_centered(p=4, seed=50))
+        noisy = gram.g + LaplaceGramLaw(4, 30.0, PrivacyBudget(1.0)).sample(
+            np.random.default_rng(51))
+        before = r2_clamp_counter.count
+        post = enumerate_posterior(noisy, InfoCriterionSpec.bic(), n=gram.n)
+        assert post.r2_clamps >= 1
+        assert r2_clamp_counter.count - before == post.r2_clamps
+        assert np.all(np.isfinite(post.log_marginals))
 
 
 class TestModelAveragedBeta:

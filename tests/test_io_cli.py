@@ -298,6 +298,38 @@ class TestCliEntry:
         record = json.loads((out / "test_result.json").read_text())
         assert record["M"] == 4
 
+    @pytest.mark.parametrize("extra", [{"mechanism": "gaussian"}, {"bogus_key": 3},
+                                       {"nsamples": 500}])
+    def test_config_file_keys_the_command_does_not_read_are_rejected(
+            self, tmp_path, capsys, extra):
+        # nsamples is an option of region, not of select.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "input": str(hsb2_path()), "response": "math", "x": "read,science",
+            "epsilon": 1.0, "delta": 1e-5, "row_norm_bound": 150.0, "seed": 1, **extra,
+        }))
+        out = tmp_path / "o"
+        code = main(["select", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert list(extra)[0] in err["message"]
+        assert not out.exists()
+
+    def test_artifact_config_block_feeds_back_as_config_file(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["select", "--input", str(hsb2_path()), "--response", "math",
+                "--x", "read,science", "--no-noise", "--prior", "bic", "--seed", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        record = json.loads((out / "selection.json").read_text())
+        assert record["r2_clamps"] == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(record["config"]))
+        again = tmp_path / "again"
+        assert main(["select", "--config", str(config), "--out", str(again)]) == 0
+        assert (json.loads((again / "selection.json").read_text())["inclusion"]
+                == record["inclusion"])
+
     def test_zero_valued_flags_survive(self, tmp_path):
         # 0 is falsy but a legitimate value for --L and --seed.
         out = tmp_path / "o"

@@ -13,6 +13,7 @@ from dpms.linmodel import (
     RegressionData,
     log_bayes_factor,
     log_info_criterion,
+    log_stat,
     r_squared,
     reparametrize,
     zs_shrinkage,
@@ -31,6 +32,29 @@ def brute_force_zs_log_bf(r2, n, p, p0, npts=1_000_000):
            + 2 * np.log1p(g))
     m = ell.max()
     return m + np.log(np.trapezoid(np.exp(ell - m), u))
+
+
+def quad_zs(r2, n, k, p0):
+    """Zellner-Siow log integral and shrinkage by scipy.integrate.quad in
+    s = log g, over the span where the integrand is within e^-60 of its
+    peak on a fine grid."""
+    from scipy.integrate import quad
+
+    def ell(s):
+        g = np.exp(s)
+        return (0.5 * (n - k - p0) * np.log1p(g) - 0.5 * (n - p0) * np.log1p(g * (1 - r2))
+                + 0.5 * np.log(n / (2 * np.pi)) - 0.5 * s - 0.5 * n * np.exp(-s))
+
+    grid = np.linspace(-40.0, 80.0, 240_001)
+    vals = ell(grid)
+    peak = vals.max()
+    inside = grid[vals >= peak - 60.0]
+    lo, hi = inside[0] - 1.0, inside[-1] + 1.0
+    mode = grid[vals.argmax()]
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=500, points=[mode])
+    mass = quad(lambda s: np.exp(ell(s) - peak), lo, hi, **opts)[0]
+    first = quad(lambda s: np.exp(ell(s) - peak) / (1 + np.exp(-s)), lo, hi, **opts)[0]
+    return peak + math.log(mass), first / mass
 
 
 class TestRegressionData:
@@ -175,6 +199,22 @@ class TestLogBayesFactor:
             log_bayes_factor(1.0, 100, 1, 1, GPriorSpec.fixed(1.0))
         with pytest.raises(DataError):
             log_bayes_factor(-0.1, 100, 1, 1, GPriorSpec.fixed(1.0))
+
+    @pytest.mark.parametrize("n", [30, 2_000, 200_000])
+    @pytest.mark.parametrize("r2", [0.0, 1e-9, 0.3, 1 - 1e-12])
+    def test_batched_zellner_siow_against_quad_at_k1(self, r2, n):
+        log_bf, shrink = log_stat(np.array([r2, r2]), n, 1, 1, GPriorSpec.zellner_siow())
+        want_log, want_shrink = quad_zs(r2, n, 1, 1)
+        assert log_bf[0] == log_bf[1]
+        assert log_bf[0] == pytest.approx(want_log, rel=1e-8, abs=1e-8)
+        assert shrink[0] == pytest.approx(want_shrink, rel=1e-7, abs=1e-9)
+
+    def test_batched_zellner_siow_matches_one_at_a_time(self):
+        r2 = np.linspace(0.0, 0.999, 150)  # more than two chunks
+        log_bf, shrink = log_stat(r2, 500, 3, 1, GPriorSpec.zellner_siow())
+        single = np.array([_zs_quadrature(float(r), 500, 3, 1) for r in r2])
+        np.testing.assert_array_equal(log_bf, single[:, 0])
+        np.testing.assert_array_equal(shrink, single[:, 1])
 
     def test_shrinkage_in_unit_interval_and_increasing_in_r2(self):
         vals = [zs_shrinkage(r2, 200, 2, 1) for r2 in (0.0, 0.2, 0.6)]

@@ -22,7 +22,7 @@ from dpms.mechanisms import (
     wishart_dof,
     wishart_gram_error,
 )
-from dpms.mechanisms import _gaussian_delta
+from dpms.mechanisms import _gaussian_delta, _LaplaceBox, _WishartBall
 from dpms.split_aggregate import CensorBounds, aggregate_private
 
 
@@ -271,6 +271,52 @@ class TestNoiseLaws:
         rng = np.random.default_rng(32)
         sequential = [law.sample(rng) for _ in range(50)]
         assert stacked.tolist() == sequential
+
+
+class TestStackedGramDraws:
+    """``sample(rng, size=N)`` equals N single draws taken in turn, so a
+    stacked draw leaves every RNG stream where the serial loop left it."""
+
+    @pytest.mark.parametrize("name", GRAM_LAWS)
+    def test_law_stack_equals_single_draws(self, name):
+        law = GRAM_LAWS[name]
+        stacked = law.sample(np.random.default_rng(33), 40)
+        rng = np.random.default_rng(33)
+        sequential = np.stack([law.sample(rng) for _ in range(40)])
+        assert stacked.shape == (40, 3, 3)
+        assert np.array_equal(stacked, sequential)
+        # The stream ends in the same place.
+        tail = np.random.default_rng(33)
+        law.sample(tail, 40)
+        assert tail.random() == rng.random()
+
+    def test_laplace_box_stack_equals_single_draws(self):
+        box = _LaplaceBox(GRAM_LAWS["laplace"], 0.1)
+        stacked = box.sample(np.random.default_rng(34), 40)
+        rng = np.random.default_rng(34)
+        assert np.array_equal(stacked, np.stack([box.sample(rng) for _ in range(40)]))
+
+    def test_wishart_ball_draws_equal_serial_rejection(self):
+        law = GRAM_LAWS["wishart"]
+        ball = _WishartBall(law, 0.3, np.random.default_rng(35), calibration_draws=2000)
+        stacked = ball.draws(60, np.random.default_rng(36))
+        rng = np.random.default_rng(36)
+        serial = []
+        while len(serial) < 60:
+            e = law.sample(rng)
+            if ball.contains(e):
+                serial.append(e)
+        assert np.array_equal(stacked, np.stack(serial))
+
+    def test_wishart_single_draw_is_the_bartlett_product(self):
+        law = GRAM_LAWS["wishart"]
+        got = law.sample(np.random.default_rng(37))
+        rng = np.random.default_rng(37)
+        a = np.zeros((3, 3))
+        a[np.tril_indices(3, k=-1)] = rng.standard_normal(3)
+        a[np.diag_indices(3)] = np.sqrt(rng.chisquare(law.k - np.arange(3)))
+        want = law.l2**2 * (a @ a.T) - law.k * law.l2**2 * np.eye(3)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestChildRng:
