@@ -42,6 +42,7 @@ from .split_aggregate import (
     default_bounds,
     make_split,
     per_subset_log_stats,
+    split_sizes,
 )
 
 __all__ = ["main", "run_command"]
@@ -251,8 +252,7 @@ def _cmd_calibrate(cfg: dict, out: Path) -> None:
     if statistic == "bf":
         if cfg.get("n") is None or cfg.get("p") is None:
             raise ConfigError("calibrate for Bayes factors needs --n and --p")
-        base, extra = divmod(int(cfg["n"]), int(cfg["M"]))
-        subset_sizes = tuple(base + (1 if i < extra else 0) for i in range(int(cfg["M"])))
+        subset_sizes = tuple(split_sizes(int(cfg["n"]), int(cfg["M"])).tolist())
     null_cfg = NullSimConfig(
         M=int(cfg["M"]),
         bounds=bounds,

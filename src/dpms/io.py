@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from .linmodel import RegressionData
 
 __all__ = [
     "ingest_csv",
-    "read_columns",
+    "read_numeric_columns",
     "hsb2_path",
     "load_hsb2",
     "write_json_record",
@@ -26,35 +27,79 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def read_columns(path) -> dict[str, list[str]]:
-    """Read a headered CSV into string columns."""
+def _scan_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and string rows through the csv module, blank rows skipped.
+
+    The reference parser: it accepts quoted cells and anything ``float``
+    reads, and names the first row whose field count differs from the
+    header's.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"row {i + 1} of {path} has {len(row)} fields, "
+                            f"the header has {len(header)}")
+    return header, rows
+
+
+def _scan_column(rows: list[list[str]], j: int, name: str, path) -> np.ndarray:
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        try:
+            out[i] = float(row[j])
+        except ValueError:
+            raise DataError(
+                f"non-numeric cell in {path}: row {i + 1}, column {name!r} "
+                f"(value {row[j]!r})"
+            ) from None
+    return out
+
+
+def read_numeric_columns(path, names=None) -> dict[str, np.ndarray]:
+    """Numeric columns of a headered CSV, by name (every column by default).
+
+    The body goes through ``np.loadtxt``, which reads plain numeric cells
+    exactly as ``float`` does.  A file it rejects (quoted, underscored or
+    non-numeric cells, rows of another width, whitespace-only lines) is
+    read again by the csv module, whose errors name the row and column.
+    Rows are numbered from 1 (excluding the header and blank lines).
+    Non-finite values are a ``DataError`` on either path.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise DataError(f"input file has no header row: {path}")
-        cols: dict[str, list[str]] = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in reader.fieldnames:
-                cols[name].append(row[name])
-    return cols
-
-
-def _numeric_column(cols: dict[str, list[str]], name: str, path) -> np.ndarray:
-    if name not in cols:
-        raise DataError(f"column {name!r} not present in {path} "
-                        f"(available: {sorted(cols)})")
-    out = np.empty(len(cols[name]))
-    for i, cell in enumerate(cols[name]):
         try:
-            out[i] = float(cell)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body
+                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            raise DataError(
-                f"non-numeric cell in {path}: row {i + 1}, column {name!r} "
-                f"(value {cell!r})"
-            ) from None
+            body = None
+    rows = None
+    if body is None or body.shape[1] != len(header):
+        header, rows = _scan_rows(path)
+    if (body.shape[0] if rows is None else len(rows)) == 0:
+        raise DataError(f"input file has no data rows: {path}")
+    index = {name: j for j, name in enumerate(header)}  # the last of duplicates
+    out = {}
+    for name in header if names is None else names:
+        if name not in index:
+            raise DataError(f"column {name!r} not present in {path} "
+                            f"(available: {sorted(index)})")
+        j = index[name]
+        col = body[:, j].copy() if rows is None else _scan_column(rows, j, name, path)
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(f"non-finite cell in {path}: row {i + 1}, column {name!r} "
+                            f"(value {float(col[i])!r})")
+        out[name] = col
     return out
 
 
@@ -74,10 +119,10 @@ def ingest_csv(
     when the Gram release is the target (its sensitivity bounds assume
     bounded entries).
     """
-    cols = read_columns(path)
-    y = _numeric_column(cols, response, path)
-    x0_parts = [_numeric_column(cols, c, path) for c in x0_columns]
-    x_parts = [_numeric_column(cols, c, path) for c in x_columns]
+    cols = read_numeric_columns(path, (response, *x0_columns, *x_columns))
+    y = cols[response]
+    x0_parts = [cols[c] for c in x0_columns]
+    x_parts = [cols[c] for c in x_columns]
     if not x_parts:
         raise DataError("at least one tested predictor column is required")
     for name, col in zip(x_columns, x_parts):
@@ -108,8 +153,7 @@ def hsb2_path() -> Path:
 
 def load_hsb2() -> dict[str, np.ndarray]:
     """The bundled fixture as numeric columns."""
-    cols = read_columns(hsb2_path())
-    return {name: _numeric_column(cols, name, "hsb2.csv") for name in cols}
+    return read_numeric_columns(hsb2_path())
 
 
 def _jsonable(value):

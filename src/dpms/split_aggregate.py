@@ -16,14 +16,16 @@ from scipy.special import expit
 
 from .errors import ConfigError, DataError, RankError, SplitInfeasibleError
 from .linmodel import (
+    _RANK_RTOL,
     GPriorSpec,
     InfoCriterionSpec,
     RegressionData,
-    log_bayes_factor,
-    log_info_criterion,
+    log_stat,
     r_squared,
     reparametrize,
 )
+# Bound here because perfbench/tracing.py wraps them under dpms.split_aggregate.
+from .linmodel import log_bayes_factor, log_info_criterion  # noqa: F401
 from .mechanisms import NoiseScale, PrivacyBudget, subsample_noise_scale
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "SplitPlan",
     "DPTestResult",
     "default_bounds",
+    "split_sizes",
     "make_split",
     "censor",
     "per_subset_log_stats",
@@ -76,6 +79,11 @@ class SplitPlan:
     assignment: np.ndarray  # n-vector of subset indices in 0..M-1
     seed: int
 
+    def __post_init__(self):
+        a = self.assignment
+        if a.size and not (0 <= a.min() and a.max() < self.M):
+            raise ConfigError(f"split assignment must lie in 0..{self.M - 1}")
+
     @property
     def n(self) -> int:
         return self.assignment.shape[0]
@@ -88,33 +96,92 @@ class SplitPlan:
         return np.flatnonzero(self.assignment == i)
 
 
-def make_split(n: int, M: int, min_subset: int, seed: int) -> SplitPlan:
-    """Random near-equal partition of n rows into M subsets.
-
-    Sizes differ by at most one, larger blocks first; the permutation is
-    seeded so the same seed reproduces the same assignment.
-    """
+def split_sizes(n: int, M: int) -> np.ndarray:
+    """Sizes of a near-equal partition of n rows into M subsets: they
+    differ by at most one, larger blocks first."""
     if M < 1 or n < 1:
         raise ConfigError(f"need n >= 1 and M >= 1, got n={n}, M={M}")
     base, extra = divmod(n, M)
     sizes = np.full(M, base)
     sizes[:extra] += 1
+    return sizes
+
+
+def make_split(n: int, M: int, min_subset: int, seed: int) -> SplitPlan:
+    """Random partition of n rows into subsets of :func:`split_sizes`.
+
+    The permutation is seeded so the same seed reproduces the same
+    assignment.
+    """
+    sizes = split_sizes(n, M)
     if sizes.min() < min_subset:
         raise SplitInfeasibleError(
             f"cannot split n={n} into M={M} subsets of at least {min_subset} rows"
         )
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    start = 0
-    for i, size in enumerate(sizes):
-        assignment[perm[start:start + size]] = i
-        start += size
+    assignment[perm] = np.repeat(np.arange(M), sizes)
     return SplitPlan(M=M, assignment=assignment, seed=seed)
 
 
 def censor(x, bounds: CensorBounds):
     """Clamp a value (or array) to [L, U]."""
     return np.clip(x, bounds.L, bounds.U)
+
+
+# What each check of _r2_stack found, in its order.
+_UNUSABLE = (
+    "combined design [x0 x] is rank deficient",
+    "common predictor block x0 is rank deficient",
+    "centered response has zero sum of squares",
+    "the tested block fits the response exactly (R^2 = 1)",
+)
+
+
+def _r2_stack(x0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int | None, str]:
+    """R^2 of the tested block for a (k, b, .) stack of equal-size subsets,
+    the position of the first unusable subset (None if none is) and the
+    first check it fails.
+
+    An unusable subset has a rank-deficient [x0 x] or x0 (relative
+    singular-value or QR-diagonal tolerance ``_RANK_RTOL``), a centered
+    response that is zero up to ``_RANK_RTOL`` of the response, or a
+    perfect fit.
+    """
+    s = np.linalg.svd(np.concatenate([x0, x], axis=2), compute_uv=False)
+    q, r = np.linalg.qr(x0)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    z = y - (q @ (q.mT @ y[..., None]))[..., 0]
+    v = x - q @ (q.mT @ x)
+    zz = np.einsum("kb,kb->k", z, z)
+    yy = np.einsum("kb,kb->k", y, y)
+    proj = np.linalg.qr(v)[0].mT @ z[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.clip(np.einsum("kpi,kpi->k", proj, proj) / zz, 0.0, 1.0)
+    failed = np.stack([
+        s[:, -1] <= _RANK_RTOL * s[:, 0],
+        diag.min(axis=1) <= _RANK_RTOL * diag.max(axis=1),
+        zz <= _RANK_RTOL**2 * yy,
+        ~(r2 < 1.0),
+    ])
+    bad = failed.any(axis=0)
+    if not bad.any():
+        return r2, None, ""
+    j = int(bad.argmax())
+    return r2, j, _UNUSABLE[int(failed[:, j].argmax())]
+
+
+def _subset_error(data: RegressionData, rows: np.ndarray, i: int, reason: str) -> RankError:
+    """The error for unusable subset i: the message of the per-subset
+    route (reparametrize, r_squared, the R^2 range check) where it raises,
+    else ``reason``."""
+    try:
+        r2 = r_squared(reparametrize(data.subset(rows)))
+        if r2 >= 1.0:
+            raise DataError(f"R^2 must lie in [0, 1), got {r2}")
+    except DataError as exc:  # RankError and DegenerateResponseError included
+        reason = str(exc)
+    return RankError(f"subset {i} of the split is unusable: {reason}")
 
 
 def per_subset_log_stats(
@@ -126,25 +193,32 @@ def per_subset_log_stats(
 
     Each subset is reparametrized and scored with its own sample size
     (so the sample-size g-prior uses g = b_i, and AIC resolves rho at
-    b_i).  A rank-deficient subset design is a hard error naming the
-    subset; silently dropping it would change the privacy analysis.
+    b_i), in one batched pass per distinct subset size.  An unusable
+    subset (too few rows, a rank-deficient design, a degenerate
+    response) is a hard error naming the first such subset; silently
+    dropping it would change the privacy analysis.
     """
     if plan.n != data.n:
         raise DataError(f"split plan covers {plan.n} rows but data has {data.n}")
+    sizes = plan.sizes
+    order = np.argsort(plan.assignment, kind="stable")
+    starts = np.cumsum(sizes) - sizes
     out = np.empty(plan.M)
-    for i in range(plan.M):
-        rows = plan.rows(i)
-        try:
-            sub = data.subset(rows)
-            c = reparametrize(sub)
-            r2 = r_squared(c)
-        except (RankError, DataError) as exc:
-            raise RankError(f"subset {i} of the split is unusable: {exc}") from exc
-        b = rows.size
-        if isinstance(stat, GPriorSpec):
-            out[i] = log_bayes_factor(r2, b, data.p, data.p0, stat)
-        else:
-            out[i] = log_info_criterion(r2, b, data.p, stat)
+    reasons = {}
+    for b in np.unique(sizes):
+        idx = np.flatnonzero(sizes == b)
+        if b <= data.p + data.p0:
+            reasons[int(idx[0])] = f"need n > p + p0, got n={b}, p={data.p}, p0={data.p0}"
+            continue
+        rows = order[starts[idx, None] + np.arange(b)]
+        r2, j, reason = _r2_stack(data.x0[rows], data.x[rows], data.y[rows])
+        if j is not None:
+            reasons[int(idx[j])] = reason
+            continue
+        out[idx] = log_stat(r2, int(b), data.p, data.p0, stat)[0]
+    if reasons:
+        i = min(reasons)
+        raise _subset_error(data, plan.rows(i), i, reasons[i])
     return out
 
 

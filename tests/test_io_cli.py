@@ -1,5 +1,6 @@
 """CSV ingestion, the bundled fixture, artifacts, and the command line."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from dpms.cli import main, run_command
 from dpms.errors import DataError
-from dpms.io import hsb2_path, ingest_csv, load_hsb2
+from dpms import io as dpms_io
+from dpms.io import hsb2_path, ingest_csv, load_hsb2, read_numeric_columns
 
 
 @pytest.fixture
@@ -48,6 +50,154 @@ class TestIngestCsv:
         path.write_text("y,x\n1.0,2.0\n2.0,2.0\n3.0,2.0\n")
         with pytest.raises(DataError, match="constant"):
             ingest_csv(path, "y", (), ("x",))
+
+
+def _float_reference(path):
+    """Every column of a headered CSV parsed cell by cell with float()."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    return {name: np.array([float(row[j]) for row in rows]) for j, name in enumerate(header)}
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the files read again by the csv-module parser."""
+    calls = []
+    original = dpms_io._scan_rows
+
+    def counted(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(dpms_io, "_scan_rows", counted)
+    return calls
+
+
+def _write(tmp_path, text, name="in.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestFastIngest:
+    def test_generated_file_bitwise_equal_to_float_reference(self, tmp_path, scans):
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((2_000, 4)) * 10.0 ** rng.integers(-300, 300, (2_000, 4))
+        table[::7, 1] = -0.0
+        table[::11, 2] = 5e-324
+        path = tmp_path / "gen.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c,d", comments="")
+        got = read_numeric_columns(path)
+        want = _float_reference(path)
+        assert scans == []
+        assert list(got) == ["a", "b", "c", "d"]
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
+            assert got[name].flags.c_contiguous
+        np.testing.assert_array_equal(got["a"], table[:, 0])
+
+    def test_number_spellings_bitwise_equal_to_float_reference(self, tmp_path, scans):
+        cells = ["1.", ".5", "+.5e-3", "1E5", "-0", "00012", "1e-400", " 7 ", "\t8",
+                 "4.9406564584124654e-324", "1.7976931348623157e308",
+                 "0.1000000000000000055511151231257827", "123456789012345678901234567890",
+                 "%.20f" % 0.1, "%.3e" % -2.5e-300]
+        path = _write(tmp_path, "a,b\n" + "".join(f"{c},{c}\n" for c in cells))
+        got = read_numeric_columns(path)
+        assert scans == []
+        assert got["a"].tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+    def test_fixture_bitwise_equal_to_float_reference(self, scans):
+        got = load_hsb2()
+        want = _float_reference(hsb2_path())
+        assert scans == []
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
+
+    def test_ingest_takes_columns_by_name(self, tmp_path, scans):
+        path = _write(tmp_path, "x,u,y\n1,9,-2.5e-3\n2,8,7\n4,7,1e10\n")
+        data = ingest_csv(path, "y", (), ("x",))
+        assert scans == []
+        np.testing.assert_array_equal(data.y, [-2.5e-3, 7.0, 1e10])
+        np.testing.assert_array_equal(data.x[:, 0], [1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("text, want", [
+        ("y,x\r\n1.5,2\r\n3,4\r\n", {"y": [1.5, 3.0], "x": [2.0, 4.0]}),
+        ("y,x\n1.5,2\n\n3,4\n\n", {"y": [1.5, 3.0], "x": [2.0, 4.0]}),
+        ("y,x\n1.5,2\n", {"y": [1.5], "x": [2.0]}),
+        ("y,x\n 1.5 ,2\n3,4", {"y": [1.5, 3.0], "x": [2.0, 4.0]}),
+    ], ids=["crlf", "blank-lines", "single-row", "padded-no-final-newline"])
+    def test_plain_layouts_take_the_fast_path(self, tmp_path, scans, text, want):
+        got = read_numeric_columns(_write(tmp_path, text))
+        assert scans == []
+        assert {k: v.tolist() for k, v in got.items()} == want
+
+    @pytest.mark.parametrize("text, want", [
+        ("y,x\n1_000,2\n3,4\n", {"y": [1000.0, 3.0], "x": [2.0, 4.0]}),
+        ('y,x\n"1.5",2\n3,"4"\n', {"y": [1.5, 3.0], "x": [2.0, 4.0]}),
+        ('y,x\r\n"1.5",2\r\n\r\n3,4\r\n', {"y": [1.5, 3.0], "x": [2.0, 4.0]}),
+        ("y,x\n1,abc\n3,4\n", {"y": [1.0, 3.0]}),
+    ], ids=["underscore", "quoted", "quoted-crlf-blank", "text-in-unused-column"])
+    def test_other_cells_fall_back_with_float_values(self, tmp_path, scans, text, want):
+        path = _write(tmp_path, text)
+        got = read_numeric_columns(path, tuple(want))
+        assert len(scans) == 1
+        assert {k: v.tolist() for k, v in got.items()} == want
+
+    def test_comment_marker_is_a_non_numeric_cell(self, tmp_path, scans):
+        path = _write(tmp_path, "y,x\n1,2\n#3,4\n5,6\n")
+        with pytest.raises(DataError, match=r"row 2, column 'y' \(value '#3'\)"):
+            ingest_csv(path, "y", (), ("x",))
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("text, row, fields", [
+        ("y,x\n1,2\n3\n5,6\n", 2, 1),
+        ("y,x\n1,2\n3,4\n5,6,7\n", 3, 3),
+        ("y,x\n1,2,0\n3,4,0\n5,6,0\n", 1, 3),
+        ("y,x\n1,2\n   \n5,6\n", 2, 1),
+        ('y,x\n"1",2\n3,4,5\n', 2, 3),
+    ], ids=["short", "long", "every-row-long", "whitespace-line", "long-after-quoted"])
+    def test_ragged_row_names_row_and_field_counts(self, tmp_path, text, row, fields):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError, match=rf"row {row} .* has {fields} fields, the header has 2"):
+            ingest_csv(path, "y", (), ("x",))
+
+    @pytest.mark.parametrize("text, row, column, value", [
+        ("y,x\n1,2\n3,nan\n5,6\n", 2, "x", "nan"),
+        ("y,x\n1,2\n3,4\n-inf,6\n", 3, "y", "-inf"),
+        ("y,x\n1,Infinity\n3,4\n", 1, "x", "inf"),
+        ('y,x\n"1",2\n3,4\n5,NaN\n', 3, "x", "nan"),
+        ("y,x\n1,2\n3,1e999\n", 2, "x", "inf"),
+    ], ids=["nan", "minus-inf", "infinity", "nan-after-quoted", "overflow"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, text, row, column, value):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError, match=rf"non-finite cell .*: row {row}, "
+                                            rf"column '{column}' \(value {value}\)"):
+            ingest_csv(path, "y", (), ("x",))
+
+    def test_non_finite_cell_in_unused_column_is_ignored(self, tmp_path):
+        path = _write(tmp_path, "y,x,u\n1,2,nan\n3,5,inf\n4,4,0\n")
+        data = ingest_csv(path, "y", (), ("x",))
+        np.testing.assert_array_equal(data.y, [1.0, 3.0, 4.0])
+
+    def test_header_only_file(self, tmp_path):
+        for text in ("y,x\n", "y\n"):
+            with pytest.raises(DataError, match="no data rows"):
+                read_numeric_columns(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", ["y,x\n1,2\n3\n5,6\n2,2\n",
+                                      "y,x\n1,2\n3,inf\n5,6\n2,2\n"],
+                             ids=["ragged", "non-finite"])
+    def test_cli_exits_with_data_error(self, tmp_path, capsys, text):
+        path = _write(tmp_path, text)
+        code = main(["test", "--input", str(path), "--response", "y", "--x", "x",
+                     "--epsilon", "1", "--M", "1", "--seed", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "row 2" in err["message"]
 
 
 class TestFixture:

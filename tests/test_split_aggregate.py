@@ -26,6 +26,7 @@ from dpms.split_aggregate import (
     make_split,
     per_subset_log_stats,
     posterior_probability,
+    split_sizes,
 )
 
 
@@ -47,6 +48,33 @@ class TestMakeSplit:
         plan = make_split(97, 5, 3, seed=1)
         seen = np.concatenate([plan.rows(i) for i in range(5)])
         assert np.array_equal(np.sort(seen), np.arange(97))
+
+    def test_split_sizes_match_the_plan(self):
+        for n, M in ((10, 2), (11, 2), (97, 5), (1000, 7), (5, 5)):
+            sizes = split_sizes(n, M)
+            assert sizes.sum() == n and sizes.max() - sizes.min() <= 1
+            assert np.all(np.diff(sizes) <= 0)
+            assert np.array_equal(make_split(n, M, 1, seed=3).sizes, sizes)
+
+    def test_assignment_matches_block_loop(self):
+        n, M, seed = 103, 6, 9
+        sizes = split_sizes(n, M)
+        perm = np.random.default_rng(seed).permutation(n)
+        want = np.empty(n, dtype=np.int64)
+        for i, (lo, hi) in enumerate(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes))):
+            want[perm[lo:hi]] = i
+        assert np.array_equal(make_split(n, M, 1, seed=seed).assignment, want)
+
+    def test_split_sizes_validation(self):
+        with pytest.raises(ConfigError):
+            split_sizes(10, 0)
+        with pytest.raises(ConfigError):
+            split_sizes(0, 3)
+
+    def test_assignment_outside_subsets_rejected(self):
+        for bad in ([0, 1, 2, 1], [0, -1, 1, 1]):
+            with pytest.raises(ConfigError, match="0..1"):
+                SplitPlan(M=2, assignment=np.array(bad), seed=0)
 
     def test_infeasible_sizes(self):
         with pytest.raises(SplitInfeasibleError):
@@ -115,6 +143,85 @@ class TestPerSubsetLogStats:
         data = RegressionData(y=y, x0=np.ones((12, 1)), x=x)
         plan = SplitPlan(M=2, assignment=np.array([0] * 6 + [1] * 6), seed=0)
         with pytest.raises(RankError, match="subset 0"):
+            per_subset_log_stats(data, plan, InfoCriterionSpec.bic())
+
+
+_ALL_STATS = [GPriorSpec.sample_size(), GPriorSpec.fixed(25.0), GPriorSpec.zellner_siow(),
+              InfoCriterionSpec.bic(), InfoCriterionSpec.aic(), InfoCriterionSpec.lrt()]
+
+
+def _loop_reference(data, plan, stat):
+    """Per-subset QR projections and the scalar statistic, one subset at a time."""
+    out = np.empty(plan.M)
+    for i in range(plan.M):
+        rows = np.flatnonzero(plan.assignment == i)
+        q, _ = np.linalg.qr(data.x0[rows])
+        z = data.y[rows] - q @ (q.T @ data.y[rows])
+        v = data.x[rows] - q @ (q.T @ data.x[rows])
+        qv, _ = np.linalg.qr(v)
+        r2 = float(np.sum((qv.T @ z) ** 2) / (z @ z))
+        if isinstance(stat, GPriorSpec):
+            out[i] = log_bayes_factor(r2, rows.size, data.p, data.p0, stat)
+        else:
+            out[i] = log_info_criterion(r2, rows.size, data.p, stat)
+    return out
+
+
+def _regression(n, p0, p, seed):
+    rng = np.random.default_rng(seed)
+    x0 = np.column_stack([np.ones(n), rng.standard_normal((n, p0 - 1))])
+    x = rng.standard_normal((n, p))
+    y = x0 @ rng.standard_normal(p0) + x @ rng.normal(0.0, 0.1, p) + rng.standard_normal(n)
+    return RegressionData(y=y, x0=x0, x=x)
+
+
+class TestBatchedPerSubsetStats:
+    @pytest.mark.parametrize("stat", _ALL_STATS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("n, M", [(1003, 7), (1000, 1), (600, 40)])
+    def test_matches_per_subset_loop(self, stat, n, M):
+        data = _regression(n, 3, 2, seed=n + M)
+        plan = make_split(n, M, data.p + data.p0 + 1, seed=M)
+        got = per_subset_log_stats(data, plan, stat)
+        np.testing.assert_allclose(got, _loop_reference(data, plan, stat), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("stat", _ALL_STATS, ids=lambda s: s.kind)
+    def test_three_subset_sizes(self, stat):
+        data = _regression(60, 2, 3, seed=5)
+        assignment = np.random.default_rng(6).permutation(np.repeat([0, 1, 2, 3], [12, 20, 8, 20]))
+        plan = SplitPlan(M=4, assignment=assignment, seed=0)
+        got = per_subset_log_stats(data, plan, stat)
+        np.testing.assert_allclose(got, _loop_reference(data, plan, stat), rtol=1e-12, atol=0)
+
+    def test_subset_with_too_few_rows_names_it(self):
+        data = _regression(40, 1, 2, seed=8)
+        plan = SplitPlan(M=3, assignment=np.array([0] * 18 + [1] * 3 + [2] * 19), seed=0)
+        with pytest.raises(RankError, match=r"subset 1 of the split is unusable: need n > p \+ p0"):
+            per_subset_log_stats(data, plan, GPriorSpec.sample_size())
+
+    def test_empty_subset_names_it(self):
+        data = _regression(40, 1, 2, seed=8)
+        plan = SplitPlan(M=3, assignment=np.array([0] * 20 + [2] * 20), seed=0)
+        with pytest.raises(RankError, match="subset 1 of the split"):
+            per_subset_log_stats(data, plan, InfoCriterionSpec.bic())
+
+    @pytest.mark.parametrize("level", [0.0, 3.0, -1.7e4])
+    def test_constant_response_subset_names_it(self, level):
+        data = _regression(60, 2, 2, seed=9)
+        y = data.y.copy()
+        y[40:] = level
+        data = RegressionData(y=y, x0=data.x0, x=data.x)
+        plan = SplitPlan(M=3, assignment=np.repeat([0, 1, 2], 20), seed=0)
+        with pytest.raises(RankError, match="subset 2 .*zero sum of squares"):
+            per_subset_log_stats(data, plan, GPriorSpec.zellner_siow())
+
+    def test_first_failing_subset_is_named_across_sizes(self):
+        data = _regression(50, 1, 2, seed=10)
+        x = data.x.copy()
+        x[30:, 1] = 2.0 * x[30:, 0]  # subsets 2 and 3 rank deficient
+        data = RegressionData(y=data.y, x0=data.x0, x=x)
+        assignment = np.array([0] * 12 + [1] * 18 + [3] * 8 + [2] * 12)
+        plan = SplitPlan(M=4, assignment=assignment, seed=0)
+        with pytest.raises(RankError, match=r"subset 2 .*\[x0 x\] is rank deficient"):
             per_subset_log_stats(data, plan, InfoCriterionSpec.bic())
 
 
