@@ -58,6 +58,15 @@ _DEFAULTS = {
     "out": "dpms-out",
 }
 
+# Options that some commands read and others do not.
+_SHARED = {
+    "M": dict(type=int, help="number of subsets"),
+    "L": dict(type=float, help="lower censoring bound"),
+    "U": dict(type=float, help="upper censoring bound"),
+    "alpha": dict(type=float),
+    "lambda": dict(type=float, dest="lambda_pct", help="hard-threshold percentile"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,25 +75,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, *shared):
+        """The options every command reads, then the named ``_SHARED`` ones."""
         sp.add_argument("--config", help="JSON configuration file; flags override it")
         sp.add_argument("--epsilon", type=float)
         sp.add_argument("--delta", type=float)
-        sp.add_argument("--M", type=int, dest="M")
-        sp.add_argument("--L", type=float, dest="L")
-        sp.add_argument("--U", type=float, dest="U")
         sp.add_argument("--prior", choices=["g", "zs", "bic", "aic", "lrt"])
         sp.add_argument("--g", type=float, dest="g_value",
                         help="fixed g for the g-prior (default: sample size)")
-        sp.add_argument("--lambda", type=float, dest="lambda_pct",
-                        help="hard-threshold percentile")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--nsim", type=int)
         sp.add_argument("--seed", type=int, help="mandatory; no wall-clock default")
         sp.add_argument("--out", help="output directory")
+        for name in shared:
+            sp.add_argument(f"--{name}", **_SHARED[name])
 
     t = sub.add_parser("test", help="private hypothesis test on a CSV")
-    add_common(t)
+    add_common(t, "M", "L", "U")
     t.add_argument("--input")
     t.add_argument("--response")
     t.add_argument("--x0", help="comma-separated common predictor columns")
@@ -96,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include per-subset statistics (output is NOT private)")
 
     c = sub.add_parser("calibrate", help="simulate a null distribution")
-    add_common(c)
+    add_common(c, "M", "L", "U", "alpha")
+    c.add_argument("--nsim", type=int)
     c.add_argument("--statistic", choices=["lrt", "bf", "pvalue"], default="lrt")
     c.add_argument("--df", type=int)
     c.add_argument("--n", type=int, help="total rows; subset sizes derive from M")
@@ -105,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--observed", type=float, help="statistic to convert to a p-value")
 
     s = sub.add_parser("select", help="model selection from a private Gram matrix")
-    add_common(s)
+    add_common(s, "lambda")
     s.add_argument("--input")
     s.add_argument("--response")
     s.add_argument("--x", help="comma-separated predictor columns")
@@ -122,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-noise", action="store_true", dest="no_noise")
 
     r = sub.add_parser("region", help="confidence-region histogram for a summary")
-    add_common(r)
+    add_common(r, "alpha")
     r.add_argument("--input")
     r.add_argument("--response")
     r.add_argument("--x")
@@ -135,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--no-noise", action="store_true", dest="no_noise")
 
     m = sub.add_parser("simulate", help="replicated simulation study cell")
-    add_common(m)
+    add_common(m, "lambda")
     m.add_argument("--p", type=int)
     m.add_argument("--n", type=int)
     m.add_argument("--snr", type=float)
@@ -390,9 +396,9 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
         n_active=int(cfg["n_active"]), n_datasets=int(cfg["n_datasets"]),
         beta_sd=float(cfg.get("beta_sd", 0.13)), seed=int(cfg["seed"]),
     )
+    delta_wishart = float(cfg["delta"]) if cfg.get("delta") else math.exp(-10.0)
     records = mse_study_cell(
-        sim_cfg, float(cfg["epsilon"]),
-        delta_wishart=float(cfg["delta"]) if cfg.get("delta") else math.exp(-10.0),
+        sim_cfg, float(cfg["epsilon"]), delta_wishart=delta_wishart,
         stat=_stat(cfg), lambda_pct=float(cfg["lambda_pct"]),
     )
     write_csv(
@@ -413,7 +419,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
                 "run; expected only as a small-sample fluctuation", method, mean,
                 means["O"],
             )
-    summary = {"cells": means, "config": _public_config(cfg)}
+    summary = {"cells": means, "delta_wishart": delta_wishart, "config": _public_config(cfg)}
     write_json_record(out / "sim_summary.json", summary)
 
 

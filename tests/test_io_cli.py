@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,57 @@ class TestCliEntry:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RepairFailureError"
+
+    def test_zellner_siow_non_convergence_is_numeric_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        from dpms import linmodel
+
+        monkeypatch.setattr(linmodel, "ZS_HALVINGS", 0)
+        code = main(["select", "--input", str(hsb2_path()), "--response", "math",
+                     "--x", "read,science", "--no-noise", "--prior", "zs",
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericError"
+        assert sorted(err["diagnostics"]) == ["n", "p", "p0", "r2"]
+        assert err["diagnostics"]["n"] == 200
+
+    @pytest.mark.parametrize("command,flags", [
+        ("test", ["--lambda", "--alpha", "--nsim"]),
+        ("calibrate", ["--lambda"]),
+        ("select", ["--M", "--L", "--U", "--alpha", "--nsim"]),
+        ("region", ["--M", "--L", "--U", "--lambda", "--nsim"]),
+        ("simulate", ["--M", "--L", "--U", "--alpha", "--nsim"]),
+    ])
+    def test_options_a_command_does_not_read_are_rejected(self, command, flags, capsys):
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1", "--seed", "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_artifact_config_holds_only_options_the_command_reads(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["test", "--input", str(hsb2_path()), "--response", "math",
+                     "--x", "gender", "--epsilon", "1", "--M", "5", "--seed", "1",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "test_result.json").read_text())["config"]
+        assert not {"lambda_pct", "alpha", "nsim", "nsamples"} & set(config)
+        assert main(["select", "--input", str(hsb2_path()), "--response", "math",
+                     "--x", "read,science", "--no-noise", "--prior", "bic", "--seed", "1",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "selection.json").read_text())["config"]
+        assert not {"M", "L", "U", "alpha", "nsim", "pi0"} & set(config)
+        assert config["lambda_pct"] == 99.0
+
+    @pytest.mark.parametrize("flags,want", [([], math.exp(-10.0)),
+                                            (["--delta", "1e-4"], 1e-4)])
+    def test_simulate_records_the_wishart_delta_it_used(self, tmp_path, flags, want):
+        out = tmp_path / "o"
+        assert main(["simulate", "--p", "3", "--n", "400", "--snr", "1", "--n-active", "1",
+                     "--n-datasets", "1", "--epsilon", "1", "--prior", "bic",
+                     "--seed", "21", "--out", str(out), *flags]) == 0
+        assert json.loads((out / "sim_summary.json").read_text())["delta_wishart"] == want
 
     def test_flags_override_config_file(self, tmp_path):
         config = tmp_path / "cfg.json"

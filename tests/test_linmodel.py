@@ -1,11 +1,13 @@
 """Reparametrization, R^2, Bayes factors, and information criteria."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dpms.errors import DataError, DegenerateResponseError, RankError
+from dpms import linmodel
+from dpms.errors import DataError, DegenerateResponseError, NumericError, RankError
 from dpms.linmodel import (
     CenteredData,
     GPriorSpec,
@@ -177,11 +179,6 @@ class TestLogBayesFactor:
         want = brute_force_zs_log_bf(r2, n, p, p0, npts=400_000)
         assert got == pytest.approx(want, rel=2e-6, abs=2e-6)
 
-    def test_zellner_siow_panel_doubling_self_consistency(self):
-        a = _zs_quadrature(0.25, 500, 3, 1, initial_panels=16)[0]
-        b = _zs_quadrature(0.25, 500, 3, 1, initial_panels=32)[0]
-        assert a == pytest.approx(b, rel=1e-8)
-
     @pytest.mark.parametrize("prior", [GPriorSpec.fixed(50.0), GPriorSpec.zellner_siow()])
     def test_strictly_increasing_in_r2(self, prior):
         values = [log_bayes_factor(r2, 60, 2, 1, prior)
@@ -208,6 +205,38 @@ class TestLogBayesFactor:
         assert log_bf[0] == log_bf[1]
         assert log_bf[0] == pytest.approx(want_log, rel=1e-8, abs=1e-8)
         assert shrink[0] == pytest.approx(want_shrink, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [30, 20_000])
+    @pytest.mark.parametrize("k,p0", [(3, 1), (3, 3), (12, 1), (12, 3)])
+    @pytest.mark.parametrize("r2", [0.0, 0.5, 1 - 1e-9])
+    def test_zellner_siow_against_quad(self, r2, k, p0, n):
+        log_bf, shrink = _zs_quadrature(r2, n, k, p0)
+        want_log, want_shrink = quad_zs(r2, n, k, p0)
+        assert log_bf == pytest.approx(want_log, rel=1e-8, abs=1e-8)
+        assert shrink == pytest.approx(want_shrink, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("n,k,p0", [(5, 3, 1), (14, 12, 1), (30, 26, 3)])
+    @pytest.mark.parametrize("r2", [0.0, 0.5, 1 - 1e-14])
+    def test_zellner_siow_against_quad_at_the_smallest_sample(self, r2, n, k, p0):
+        # n = k + p0 + 1: the integrand is nearly flat between two walls.
+        log_bf, shrink = _zs_quadrature(r2, n, k, p0)
+        want_log, want_shrink = quad_zs(r2, n, k, p0)
+        assert log_bf == pytest.approx(want_log, rel=1e-8, abs=1e-8)
+        assert shrink == pytest.approx(want_shrink, rel=1e-7, abs=1e-9)
+
+    def test_zellner_siow_non_convergence_is_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(linmodel, "ZS_HALVINGS", 0)
+        with pytest.raises(NumericError) as err:
+            log_stat(np.array([0.1, 0.25]), 500, 3, 1, GPriorSpec.zellner_siow())
+        assert err.value.diagnostics == {"r2": 0.1, "n": 500, "p": 3, "p0": 1}
+
+    @pytest.mark.parametrize("r2,n,k", [(1 - 1e-12, 8, 5), (0.0, 10**6, 2),
+                                        (0.5, 10**6, 2), (1 - 1e-12, 10**6, 2)])
+    def test_zellner_siow_raises_no_floating_point_warning(self, r2, n, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_bf, shrink = log_stat(np.array([r2]), n, k, 1, GPriorSpec.zellner_siow())
+        assert np.isfinite(log_bf).all() and 0.0 < shrink[0] <= 1.0
 
     def test_batched_zellner_siow_matches_one_at_a_time(self):
         r2 = np.linspace(0.0, 0.999, 150)  # more than two chunks
