@@ -80,12 +80,17 @@ class EmpiricalNull:
         return self.sorted_samples.shape[0]
 
 
-def _noise_draws(
-    cfg: NullSimConfig, rng: np.random.Generator, with_noise: bool
+def _censored_private_mean(
+    values: np.ndarray, cfg: NullSimConfig, rng: np.random.Generator, with_noise: bool
 ) -> np.ndarray:
-    if not with_noise:
-        return np.zeros(cfg.nsim)
-    return subsample_noise_scale(cfg.bounds, cfg.M, cfg.budget).sample(rng, cfg.nsim)
+    """The release pipeline on an (nsim, M) table of per-subset values:
+    censor each to [L, U] (in place), average over subsets, add the
+    release noise (drawn after the values) and censor the mean again."""
+    np.clip(values, cfg.bounds.L, cfg.bounds.U, out=values)
+    agg = values.mean(axis=1)
+    if with_noise:
+        agg += subsample_noise_scale(cfg.bounds, cfg.M, cfg.budget).sample(rng, cfg.nsim)
+    return np.clip(agg, cfg.bounds.L, cfg.bounds.U)
 
 
 def simulate_null_lrt(
@@ -102,9 +107,8 @@ def simulate_null_lrt(
         raise ConfigError("simulate_null_lrt requires df in the configuration")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     log_lambda = 0.5 * rng.chisquare(cfg.df, size=(cfg.nsim, cfg.M))
-    np.clip(log_lambda, cfg.bounds.L, cfg.bounds.U, out=log_lambda)
-    agg = log_lambda.mean(axis=1) + _noise_draws(cfg, rng, with_noise)
-    stat = np.clip(2.0 * agg, 2.0 * cfg.bounds.L, 2.0 * cfg.bounds.U)
+    # Doubling is exact, so 2 clip(a, L, U) is bitwise clip(2a, 2L, 2U).
+    stat = 2.0 * _censored_private_mean(log_lambda, cfg, rng, with_noise)
     return EmpiricalNull(np.sort(stat), "lrt")
 
 
@@ -150,32 +154,20 @@ def simulate_null_bf(
             cols[:, i] = _zs_interpolator(int(b), p, p0)(np.log1p(-r2))
         else:
             cols[:, i] = log_stat(r2, int(b), p, p0, stat)[0]
-    np.clip(cols, cfg.bounds.L, cfg.bounds.U, out=cols)
-    agg = cols.mean(axis=1) + _noise_draws(cfg, rng, with_noise)
-    stat_vals = np.clip(agg, cfg.bounds.L, cfg.bounds.U)
-    return EmpiricalNull(np.sort(stat_vals), "bf")
+    return EmpiricalNull(np.sort(_censored_private_mean(cols, cfg, rng, with_noise)), "bf")
 
 
 def simulate_null_pvalue(
-    cfg: NullSimConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    transform=None,
-    with_noise: bool = True,
+    cfg: NullSimConfig, rng: np.random.Generator | None = None, *, with_noise: bool = True
 ) -> EmpiricalNull:
     """Null distribution of aggregated private p-values.
 
-    Per-subset p-values are Uniform(0, 1) under the null; ``transform``
-    maps them to the aggregation scale (identity by default) before
-    censoring.
+    Per-subset p-values are Uniform(0, 1) under the null and are censored
+    on their own scale.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     u = rng.uniform(size=(cfg.nsim, cfg.M))
-    vals = u if transform is None else transform(u)
-    vals = np.clip(vals, cfg.bounds.L, cfg.bounds.U)
-    agg = vals.mean(axis=1) + _noise_draws(cfg, rng, with_noise)
-    stat_vals = np.clip(agg, cfg.bounds.L, cfg.bounds.U)
-    return EmpiricalNull(np.sort(stat_vals), "pvalue")
+    return EmpiricalNull(np.sort(_censored_private_mean(u, cfg, rng, with_noise)), "pvalue")
 
 
 def critical_value(null: EmpiricalNull, alpha: float) -> float:

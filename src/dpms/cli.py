@@ -1,21 +1,27 @@
 """Batch command line: test, calibrate, select, region, simulate.
 
-Configuration comes from an optional JSON file plus flag overrides (flags
-win); a file key that is not an option of the command is a configuration
-error.  Every artifact embeds the resolved configuration and seed, so a
-run can be reproduced from its own output.  Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numeric failure.
+Every option is declared once, in ``OPTIONS``: its flag, the commands that
+read it, its default (or ``REQUIRED``) and its argparse settings.  The
+parser, the defaults, the required checks and each artifact's ``config``
+block all come from that table.  A run's configuration is an optional
+JSON file, then the flags (flags win), then the table's defaults; on the
+command line a key the command does not read is a configuration error.
+Every artifact embeds the options the command read, so a run can be
+reproduced from its own output.  Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
-import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,27 +51,91 @@ from .split_aggregate import (
     split_sizes,
 )
 
-__all__ = ["main", "run_command"]
+__all__ = ["OPTIONS", "main", "run_command"]
 
-_DEFAULTS = {
-    "delta": 0.0,
-    "pi0": 0.5,
-    "lambda_pct": 99.0,
-    "alpha": 0.05,
-    "nsim": 100_000,
-    "nsamples": 1000,
-    "prior": "g",
-    "out": "dpms-out",
+REQUIRED = "required"
+
+_PRIORS = {
+    "g": GPriorSpec.sample_size,
+    "zs": GPriorSpec.zellner_siow,
+    "bic": InfoCriterionSpec.bic,
+    "aic": InfoCriterionSpec.aic,
+    "lrt": InfoCriterionSpec.lrt,
 }
 
-# Options that some commands read and others do not.
-_SHARED = {
-    "M": dict(type=int, help="number of subsets"),
-    "L": dict(type=float, help="lower censoring bound"),
-    "U": dict(type=float, help="upper censoring bound"),
-    "alpha": dict(type=float),
-    "lambda": dict(type=float, dest="lambda_pct", help="hard-threshold percentile"),
-}
+
+class Option(NamedTuple):
+    """One row of the option table.
+
+    ``readers`` names the commands that read the option; a reader
+    ``calibrate[s]`` reads it only under ``--statistic s``.  ``dest`` is
+    the option's key in config files and ``config`` blocks.
+    """
+
+    flag: str
+    dest: str
+    readers: tuple[str, ...]
+    default: object
+    help: str | None
+    argparse: dict
+
+
+def _opt(flag, readers, default, help=None, **argparse_settings) -> Option:
+    dest = argparse_settings.get("dest", flag[2:].replace("-", "_"))
+    return Option(flag, dest, tuple(readers.split()), default, help, argparse_settings)
+
+
+def _declared(owner, name):
+    """The default that a library type or function declares for ``name``."""
+    return inspect.signature(owner).parameters[name].default
+
+
+_DATA = "test select region"
+_GRAM = "select region"
+_SCORED = "test select region simulate calibrate[bf]"
+
+OPTIONS = (
+    _opt("--seed", "test calibrate select region simulate", REQUIRED, type=int),
+    _opt("--out", "test calibrate select region simulate", "dpms-out", "output directory"),
+    _opt("--epsilon", "test calibrate simulate", REQUIRED, type=float),
+    _opt("--epsilon", _GRAM, None, "required without --no-noise", type=float),
+    _opt("--delta", "test calibrate select region", 0.0, "0 gives Laplace noise", type=float),
+    _opt("--delta", "simulate", _declared(mse_study_cell, "delta_wishart"),
+         "delta of the Wishart methods (> 0)", type=float, dest="delta_wishart"),
+    _opt("--prior", _SCORED, "g", choices=tuple(_PRIORS)),
+    _opt("--g", _SCORED, None, "fixed g (default: sample size)", type=float, dest="g_value"),
+    _opt("--input", _DATA, REQUIRED, "CSV with one header row"),
+    _opt("--response", _DATA, REQUIRED),
+    _opt("--x0", "test", None, "comma-separated common predictor columns"),
+    _opt("--x", _DATA, REQUIRED, "comma-separated (test: tested) predictor columns"),
+    _opt("--no-noise", _DATA, False, "oracle mode, output NOT private", action="store_true"),
+    _opt("--diagnostics", "test", False, "per-subset values, NOT private", action="store_true"),
+    _opt("--pi0", "test", 0.5, "prior probability of the null", type=float),
+    _opt("--M", "test calibrate", REQUIRED, "number of subsets", type=int),
+    _opt("--L", "test calibrate", None, "lower censoring bound (default -log 99)", type=float),
+    _opt("--U", "test calibrate", None, "upper censoring bound (default log 99)", type=float),
+    _opt("--statistic", "calibrate", "lrt", choices=("lrt", "bf", "pvalue")),
+    _opt("--nsim", "calibrate", _declared(NullSimConfig, "nsim"), type=int),
+    _opt("--alpha", "calibrate region", 0.05, type=float),
+    _opt("--observed", "calibrate", None, "statistic to convert to a p-value", type=float),
+    _opt("--df", "calibrate[lrt]", REQUIRED, "likelihood-ratio degrees of freedom", type=int),
+    _opt("--n", "calibrate[bf] simulate", REQUIRED, "rows (calibrate: in total)", type=int),
+    _opt("--p", "calibrate[bf] simulate", REQUIRED, "(tested) predictors", type=int),
+    _opt("--p0", "calibrate[bf]", 1, "common predictors, the intercept included", type=int),
+    _opt("--data-entry-bound", _GRAM, _declared(Sensitivity, "l1"), type=float),
+    _opt("--row-norm-bound", _GRAM, _declared(Sensitivity, "l2"), type=float),
+    _opt("--threshold", "select", False, "threshold small off-diagonals", action="store_true"),
+    _opt("--lambda", "select simulate", 99.0, "cut percentile", type=float, dest="lambda_pct"),
+    _opt("--r", "select", None, "fixed ridge repair (default: auto)", type=float, dest="r_fixed"),
+    _opt("--synthetic-n", "select", None, "also emit this many synthetic rows", type=int),
+    _opt("--model-prior", _GRAM, "hierarchical", choices=("uniform", "hierarchical")),
+    _opt("--nsamples", "region", _declared(RegionConfig, "nsamples"), type=int),
+    _opt("--functional", "region", "inclusion:0", "inclusion:J or beta:J (predictor index J)"),
+    _opt("--snr", "simulate", REQUIRED, type=float),
+    _opt("--n-active", "simulate", REQUIRED, type=int),
+    _opt("--n-datasets", "simulate", REQUIRED, type=int),
+    _opt("--beta-sd", "simulate", _declared(SimStudyConfig, "beta_sd"), type=float),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,110 +144,83 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Differentially private model uncertainty for linear regression",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *shared):
-        """The options every command reads, then the named ``_SHARED`` ones."""
+    for command, (_, summary) in _COMMANDS.items():
+        # Absent flags stay absent, so the config file and the table fill them.
+        sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON configuration file; flags override it")
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--prior", choices=["g", "zs", "bic", "aic", "lrt"])
-        sp.add_argument("--g", type=float, dest="g_value",
-                        help="fixed g for the g-prior (default: sample size)")
-        sp.add_argument("--seed", type=int, help="mandatory; no wall-clock default")
-        sp.add_argument("--out", help="output directory")
-        for name in shared:
-            sp.add_argument(f"--{name}", **_SHARED[name])
-
-    t = sub.add_parser("test", help="private hypothesis test on a CSV")
-    add_common(t, "M", "L", "U")
-    t.add_argument("--input")
-    t.add_argument("--response")
-    t.add_argument("--x0", help="comma-separated common predictor columns")
-    t.add_argument("--x", help="comma-separated tested predictor columns")
-    t.add_argument("--pi0", type=float)
-    t.add_argument("--no-noise", action="store_true", dest="no_noise",
-                   help="oracle mode: skip the privacy noise (output is NOT private)")
-    t.add_argument("--diagnostics", action="store_true",
-                   help="include per-subset statistics (output is NOT private)")
-
-    c = sub.add_parser("calibrate", help="simulate a null distribution")
-    add_common(c, "M", "L", "U", "alpha")
-    c.add_argument("--nsim", type=int)
-    c.add_argument("--statistic", choices=["lrt", "bf", "pvalue"], default="lrt")
-    c.add_argument("--df", type=int)
-    c.add_argument("--n", type=int, help="total rows; subset sizes derive from M")
-    c.add_argument("--p", type=int)
-    c.add_argument("--p0", type=int)
-    c.add_argument("--observed", type=float, help="statistic to convert to a p-value")
-
-    s = sub.add_parser("select", help="model selection from a private Gram matrix")
-    add_common(s, "lambda")
-    s.add_argument("--input")
-    s.add_argument("--response")
-    s.add_argument("--x", help="comma-separated predictor columns")
-    s.add_argument("--data-entry-bound", type=float, dest="data_entry_bound")
-    s.add_argument("--row-norm-bound", type=float, dest="row_norm_bound")
-    s.add_argument("--threshold", action="store_true",
-                   help="hard-threshold small off-diagonal entries")
-    s.add_argument("--r", type=float, dest="r_fixed",
-                   help="fixed ridge repair (default: simulated auto policy)")
-    s.add_argument("--synthetic-n", type=int, dest="synthetic_n",
-                   help="also emit a synthetic dataset with this many rows")
-    s.add_argument("--model-prior", choices=["uniform", "hierarchical"],
-                   dest="model_prior")
-    s.add_argument("--no-noise", action="store_true", dest="no_noise")
-
-    r = sub.add_parser("region", help="confidence-region histogram for a summary")
-    add_common(r, "alpha")
-    r.add_argument("--input")
-    r.add_argument("--response")
-    r.add_argument("--x")
-    r.add_argument("--data-entry-bound", type=float, dest="data_entry_bound")
-    r.add_argument("--row-norm-bound", type=float, dest="row_norm_bound")
-    r.add_argument("--nsamples", type=int)
-    r.add_argument("--functional", help="inclusion:J or beta:J (predictor index J)")
-    r.add_argument("--model-prior", choices=["uniform", "hierarchical"],
-                   dest="model_prior")
-    r.add_argument("--no-noise", action="store_true", dest="no_noise")
-
-    m = sub.add_parser("simulate", help="replicated simulation study cell")
-    add_common(m, "lambda")
-    m.add_argument("--p", type=int)
-    m.add_argument("--n", type=int)
-    m.add_argument("--snr", type=float)
-    m.add_argument("--n-active", type=int, dest="n_active")
-    m.add_argument("--n-datasets", type=int, dest="n_datasets")
-    m.add_argument("--beta-sd", type=float, dest="beta_sd")
+        for option in OPTIONS:
+            tags = [r.partition("[")[2][:-1] for r in option.readers
+                    if r.partition("[")[0] == command]
+            if tags:
+                notes = [option.help, None if option.default is None else f"[{option.default}]",
+                         *(f"(--statistic {tag} only)" for tag in tags if tag)]
+                sp.add_argument(option.flag, help=" ".join(filter(None, notes)), **option.argparse)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if args.config:
-        path = Path(args.config)
+def _resolved(option: Option, value, label: str):
+    """``value`` checked against the option's type and choices, or its default."""
+    if value is None:
+        if option.default == REQUIRED:
+            raise ConfigError(f"{label} requires {option.flag}")
+        return option.default
+    if option.argparse.get("action") == "store_true" and not isinstance(value, bool):
+        raise ConfigError(f"{option.flag} takes true or false, got {value!r}")
+    kind, choices = option.argparse.get("type"), option.argparse.get("choices")
+    if kind is not None:
+        try:
+            value = kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{option.flag} takes a {kind.__name__}, got {value!r}") from None
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{option.flag} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _resolve(given: dict, *, strict: bool) -> dict:
+    """The configuration ``given["command"]`` runs with: every option it
+    reads, from ``given`` or else from the table.  With ``strict`` (the
+    command line) a key of ``given`` that the command does not read is a
+    configuration error; otherwise it is ignored."""
+    command = given.get("command")
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    cfg = {"command": command}
+
+    def take(reader: str, label: str) -> None:
+        for option in OPTIONS:
+            if reader in option.readers:
+                cfg[option.dest] = _resolved(option, given.get(option.dest), label)
+
+    label = command
+    take(command, label)
+    if command == "calibrate":
+        label = f"calibrate --statistic {cfg['statistic']}"
+        take(f"calibrate[{cfg['statistic']}]", label)
+    unread = sorted(set(given) - set(cfg))
+    if strict and unread:
+        flags = {option.dest: option.flag for option in OPTIONS}
+        raise ConfigError(f"{label} does not read " + ", ".join(flags.get(k, k) for k in unread))
+    return cfg
+
+
+def _resolve_argv(argv) -> dict:
+    """The configuration a command line runs with: its config file, then
+    its flags, then the table's defaults."""
+    args = vars(_build_parser().parse_args(argv))
+    given = {}
+    if "config" in args:
+        path = Path(args.pop("config"))
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            cfg = json.loads(path.read_text())
+            given = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(cfg) - set(vars(args)))
-        if unknown:
-            raise ConfigError(f"config file keys not read by {args.command}: "
-                              + ", ".join(unknown))
-    for key, value in vars(args).items():
-        if key == "config" or value is None or value is False:
-            continue
-        cfg[key] = value
-    for key, value in _DEFAULTS.items():
-        if key in vars(args):
-            cfg.setdefault(key, value)
-    if cfg.get("seed") is None:
-        raise ConfigError("a seed is mandatory (pass --seed or set it in the config)")
-    cfg["command"] = args.command
-    return cfg
+    given.update(args)
+    return _resolve(given, strict=True)
 
 
 def _columns(value) -> tuple[str, ...]:
@@ -189,34 +232,17 @@ def _columns(value) -> tuple[str, ...]:
 
 
 def _bounds(cfg: dict) -> CensorBounds:
-    if cfg.get("L") is None and cfg.get("U") is None:
+    if cfg["L"] is None and cfg["U"] is None:
         return default_bounds()
-    if cfg.get("L") is None or cfg.get("U") is None:
-        raise ConfigError("censor bounds need both L and U")
-    return CensorBounds(float(cfg["L"]), float(cfg["U"]))
-
-
-def _budget(cfg: dict) -> PrivacyBudget:
-    if cfg.get("epsilon") is None:
-        raise ConfigError("epsilon is required")
-    return PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0)))
+    if cfg["L"] is None or cfg["U"] is None:
+        raise ConfigError("censor bounds need both --L and --U")
+    return CensorBounds(cfg["L"], cfg["U"])
 
 
 def _stat(cfg: dict):
-    prior = cfg.get("prior", "g")
-    if prior == "g":
-        if cfg.get("g_value") is not None:
-            return GPriorSpec.fixed(float(cfg["g_value"]))
-        return GPriorSpec.sample_size()
-    if prior == "zs":
-        return GPriorSpec.zellner_siow()
-    if prior == "bic":
-        return InfoCriterionSpec.bic()
-    if prior == "aic":
-        return InfoCriterionSpec.aic()
-    if prior == "lrt":
-        return InfoCriterionSpec.lrt()
-    raise ConfigError(f"unknown prior {prior!r}")
+    if cfg["prior"] == "g" and cfg["g_value"] is not None:
+        return GPriorSpec.fixed(cfg["g_value"])
+    return _PRIORS[cfg["prior"]]()
 
 
 def _public_config(cfg: dict) -> dict:
@@ -224,103 +250,81 @@ def _public_config(cfg: dict) -> dict:
 
 
 def _cmd_test(cfg: dict, out: Path) -> None:
-    for key in ("input", "response", "x"):
-        if not cfg.get(key):
-            raise ConfigError(f"test requires --{key}")
-    if cfg.get("M") is None:
-        raise ConfigError("test requires --M (number of subsets)")
-    data = ingest_csv(cfg["input"], cfg["response"], _columns(cfg.get("x0")),
+    data = ingest_csv(cfg["input"], cfg["response"], _columns(cfg["x0"]),
                       _columns(cfg["x"]))
-    budget = _budget(cfg)
+    budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
     bounds = _bounds(cfg)
     stat = _stat(cfg)
-    seed = int(cfg["seed"])
-    plan = make_split(data.n, int(cfg["M"]), data.p + data.p0 + 1, seed)
+    seed = cfg["seed"]
+    plan = make_split(data.n, cfg["M"], data.p + data.p0 + 1, seed)
     logs = per_subset_log_stats(data, plan, stat)
     rng = child_rng(seed, 1)
-    noise_value = 0.0 if cfg.get("no_noise") else None
+    noise_value = 0.0 if cfg["no_noise"] else None
     result = aggregate_private(logs, bounds, budget, rng, noise_value=noise_value)
-    private = not (cfg.get("no_noise") or cfg.get("diagnostics"))
-    record = result.to_record(pi0=float(cfg["pi0"]), seed=seed, private=private)
+    private = not (cfg["no_noise"] or cfg["diagnostics"])
+    record = result.to_record(pi0=cfg["pi0"], seed=seed, private=private)
     record["private"] = private
     record["config"] = _public_config(cfg)
     write_json_record(out / "test_result.json", record)
 
 
 def _cmd_calibrate(cfg: dict, out: Path) -> None:
-    if cfg.get("M") is None:
-        raise ConfigError("calibrate requires --M")
-    budget = _budget(cfg)
-    bounds = _bounds(cfg)
-    seed = int(cfg["seed"])
-    statistic = cfg.get("statistic", "lrt")
-    subset_sizes = None
-    if statistic == "bf":
-        if cfg.get("n") is None or cfg.get("p") is None:
-            raise ConfigError("calibrate for Bayes factors needs --n and --p")
-        subset_sizes = tuple(split_sizes(int(cfg["n"]), int(cfg["M"])).tolist())
-    null_cfg = NullSimConfig(
-        M=int(cfg["M"]),
-        bounds=bounds,
-        budget=budget,
-        nsim=int(cfg["nsim"]),
-        seed=seed,
-        df=int(cfg["df"]) if cfg.get("df") is not None else None,
-        subset_sizes=subset_sizes,
-    )
+    statistic, seed = cfg["statistic"], cfg["seed"]
+    null_cfg = partial(NullSimConfig, M=cfg["M"], bounds=_bounds(cfg),
+                       budget=PrivacyBudget(cfg["epsilon"], cfg["delta"]),
+                       nsim=cfg["nsim"], seed=seed)
     rng = child_rng(seed, 1)
     if statistic == "lrt":
-        null = simulate_null_lrt(null_cfg, rng)
+        null = simulate_null_lrt(null_cfg(df=cfg["df"]), rng)
     elif statistic == "bf":
-        null = simulate_null_bf(null_cfg, _stat(cfg), int(cfg["p"]),
-                                int(cfg.get("p0", 1)), rng)
+        sizes = tuple(split_sizes(cfg["n"], cfg["M"]).tolist())
+        null = simulate_null_bf(null_cfg(subset_sizes=sizes), _stat(cfg), cfg["p"],
+                                cfg["p0"], rng)
     else:
-        null = simulate_null_pvalue(null_cfg, rng)
+        null = simulate_null_pvalue(null_cfg(), rng)
     write_csv(out / "null_quantiles.csv", ["prob", "value"],
               [[repr(q), repr(v)] for q, v in quantile_table(null)])
-    alpha = float(cfg["alpha"])
     record = {
         "statistic": statistic,
-        "alpha": alpha,
-        "critical_value": critical_value(null, alpha),
+        "alpha": cfg["alpha"],
+        "critical_value": critical_value(null, cfg["alpha"]),
         "nsim": null.nsim,
         "config": _public_config(cfg),
     }
-    if cfg.get("observed") is not None:
-        record["observed"] = float(cfg["observed"])
-        record["p_value"] = p_value(null, float(cfg["observed"]))
+    if cfg["observed"] is not None:
+        record["observed"] = cfg["observed"]
+        record["p_value"] = p_value(null, cfg["observed"])
     write_json_record(out / "calibration.json", record)
 
 
-def _select_chain(cfg: dict):
-    for key in ("input", "response", "x"):
-        if not cfg.get(key):
-            raise ConfigError(f"{cfg['command']} requires --{key}")
+def _select_chain(cfg: dict, *, lambda_pct: float | None = None, r: float | None = None):
+    """Ingest, build and release (or, with --no-noise, keep) the Gram
+    matrix, hard-threshold it at ``lambda_pct`` when given, and repair it
+    with the fixed ridge ``r`` or the auto policy."""
+    if not cfg["no_noise"] and cfg["epsilon"] is None:
+        raise ConfigError(f"{cfg['command']} requires --epsilon unless --no-noise is set")
     data = ingest_csv(cfg["input"], cfg["response"], (), _columns(cfg["x"]),
                       warn_unit_box=True)
     gram = build_gram(reparametrize(data))
-    seed = int(cfg["seed"])
-    rng = child_rng(seed, 1)
-    if cfg.get("no_noise"):
+    rng = child_rng(cfg["seed"], 1)
+    if cfg["no_noise"]:
         chain = oracle_chain(gram)
     else:
-        budget = _budget(cfg)
-        sens = Sensitivity(l1=float(cfg.get("data_entry_bound") or 0.0),
-                           l2=float(cfg.get("row_norm_bound") or 0.0))
+        budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
+        sens = Sensitivity(l1=cfg["data_entry_bound"], l2=cfg["row_norm_bound"])
         chain = privatize_gram(gram, budget, sens, rng)
-    if cfg.get("threshold"):
-        chain = threshold_offdiagonal(chain, float(cfg["lambda_pct"]), rng)
-    chain = pd_repair(chain, rng, r=cfg.get("r_fixed"))
+    if lambda_pct is not None:
+        chain = threshold_offdiagonal(chain, lambda_pct, rng)
+    chain = pd_repair(chain, rng, r=r)
     return data, chain, rng
 
 
 def _cmd_select(cfg: dict, out: Path) -> None:
     from .gram import enumerate_posterior, synthetic_dataset
 
-    data, chain, rng = _select_chain(cfg)
-    stat = _stat(cfg)
-    prior_kind = cfg.get("model_prior", "hierarchical")
-    post = enumerate_posterior(chain, stat, prior_kind)
+    data, chain, rng = _select_chain(
+        cfg, lambda_pct=cfg["lambda_pct"] if cfg["threshold"] else None, r=cfg["r_fixed"])
+    post = enumerate_posterior(chain, _stat(cfg), cfg["model_prior"])
     budget = chain.law.budget
     write_csv(out / "posterior.csv", ["model", "log_marginal", "posterior"],
               posterior_csv_rows(post))
@@ -334,21 +338,20 @@ def _cmd_select(cfg: dict, out: Path) -> None:
         "mechanism": chain.law.name,
         "epsilon": budget.epsilon if budget else None,
         "delta": budget.delta if budget else None,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "n": data.n,
         "p": data.p,
         "config": _public_config(cfg),
     }
     write_json_record(out / "selection.json", summary)
-    if cfg.get("synthetic_n"):
-        d_star = synthetic_dataset(chain.released, int(cfg["synthetic_n"]), rng)
+    if cfg["synthetic_n"]:
+        d_star = synthetic_dataset(chain.released, cfg["synthetic_n"], rng)
         header = [f"v{j + 1}" for j in range(data.p)] + ["z"]
         write_csv(out / "synthetic.csv", header,
                   [[repr(float(v)) for v in row] for row in d_star])
 
 
-def _parse_functional(cfg: dict, p: int) -> Functional:
-    raw = cfg.get("functional") or "inclusion:0"
+def _parse_functional(raw: str, p: int) -> Functional:
     kind, _, idx = str(raw).partition(":")
     try:
         j = int(idx)
@@ -361,12 +364,10 @@ def _parse_functional(cfg: dict, p: int) -> Functional:
 
 def _cmd_region(cfg: dict, out: Path) -> None:
     data, chain, rng = _select_chain(cfg)
-    functional = _parse_functional(cfg, data.p)
-    region_cfg = RegionConfig(alpha=float(cfg["alpha"]), nsamples=int(cfg["nsamples"]),
-                              seed=int(cfg["seed"]))
+    functional = _parse_functional(cfg["functional"], data.p)
+    region_cfg = RegionConfig(alpha=cfg["alpha"], nsamples=cfg["nsamples"], seed=cfg["seed"])
     samples = sample_region(chain, region_cfg, rng)
-    hist = map_functional(samples, functional, _stat(cfg),
-                          cfg.get("model_prior", "hierarchical"))
+    hist = map_functional(samples, functional, _stat(cfg), cfg["model_prior"])
     write_csv(
         out / "histogram.csv",
         ["bin_edge_lo", "bin_edge_hi", "count"],
@@ -378,28 +379,25 @@ def _cmd_region(cfg: dict, out: Path) -> None:
         "accepted": hist.accepted,
         "rejected_non_pd": hist.rejected_non_pd,
         "alpha": region_cfg.alpha,
-        "functional": cfg.get("functional") or "inclusion:0",
+        "functional": cfg["functional"],
         "mechanism": chain.law.name,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "config": _public_config(cfg),
     })
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> None:
-    for key in ("p", "n", "snr", "n_active", "n_datasets"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"simulate requires --{key.replace('_', '-')}")
-    if cfg.get("epsilon") is None:
-        raise ConfigError("epsilon is required")
+    # A zero delta would give WM and WMT a pure budget, so a Laplace law
+    # under a Wishart label.
+    if not cfg["delta_wishart"] > 0:
+        raise ConfigError(f"simulate --delta must be > 0, got {cfg['delta_wishart']!r}")
     sim_cfg = SimStudyConfig(
-        p=int(cfg["p"]), n=int(cfg["n"]), snr=float(cfg["snr"]),
-        n_active=int(cfg["n_active"]), n_datasets=int(cfg["n_datasets"]),
-        beta_sd=float(cfg.get("beta_sd", 0.13)), seed=int(cfg["seed"]),
+        p=cfg["p"], n=cfg["n"], snr=cfg["snr"], n_active=cfg["n_active"],
+        n_datasets=cfg["n_datasets"], beta_sd=cfg["beta_sd"], seed=cfg["seed"],
     )
-    delta_wishart = float(cfg["delta"]) if cfg.get("delta") else math.exp(-10.0)
     records = mse_study_cell(
-        sim_cfg, float(cfg["epsilon"]), delta_wishart=delta_wishart,
-        stat=_stat(cfg), lambda_pct=float(cfg["lambda_pct"]),
+        sim_cfg, cfg["epsilon"], delta_wishart=cfg["delta_wishart"],
+        stat=_stat(cfg), lambda_pct=cfg["lambda_pct"],
     )
     write_csv(
         out / "mse_table.csv",
@@ -419,38 +417,39 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
                 "run; expected only as a small-sample fluctuation", method, mean,
                 means["O"],
             )
-    summary = {"cells": means, "delta_wishart": delta_wishart, "config": _public_config(cfg)}
+    summary = {"cells": means, "delta_wishart": cfg["delta_wishart"],
+               "config": _public_config(cfg)}
     write_json_record(out / "sim_summary.json", summary)
 
 
 _COMMANDS = {
-    "test": _cmd_test,
-    "calibrate": _cmd_calibrate,
-    "select": _cmd_select,
-    "region": _cmd_region,
-    "simulate": _cmd_simulate,
+    "test": (_cmd_test, "private hypothesis test on a CSV"),
+    "calibrate": (_cmd_calibrate, "simulate a null distribution"),
+    "select": (_cmd_select, "model selection from a private Gram matrix"),
+    "region": (_cmd_region, "confidence-region histogram for a summary"),
+    "simulate": (_cmd_simulate, "replicated simulation study cell"),
 }
 
 
-def run_command(cfg: dict) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
-    command = cfg.get("command")
-    if command not in _COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    out = Path(cfg.get("out", _DEFAULTS["out"]))
+def _run(cfg: dict) -> int:
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    run_record = dict(_public_config(cfg))
-    run_record["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    write_json_record(out / "run_config.json", run_record)
-    _COMMANDS[command](cfg, out)
+    write_json_record(out / "run_config.json", dict(
+        _public_config(cfg), generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z")))
+    _COMMANDS[cfg["command"]][0](cfg, out)
     return 0
 
 
+def run_command(cfg: dict) -> int:
+    """Run ``cfg["command"]`` with the options in ``cfg`` (by config key),
+    the table's defaults filling the rest; keys the command does not read
+    are ignored.  Returns the process exit code."""
+    return _run(_resolve(cfg, strict=False))
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return run_command(cfg)
+        return _run(_resolve_argv(argv))
     except DpmsError as exc:
         code = 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
         record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}

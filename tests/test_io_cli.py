@@ -5,12 +5,15 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpms.cli import main, run_command
+from dpms.cli import OPTIONS, REQUIRED, _resolve_argv, main, run_command
 from dpms.errors import DataError
 from dpms import io as dpms_io
 from dpms.io import hsb2_path, ingest_csv, load_hsb2, read_numeric_columns
@@ -554,3 +557,211 @@ class TestCliEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "test_result.json").exists()
+
+
+def _artifacts(out: Path) -> dict:
+    """Every artifact of a run but run_config.json, JSON records without
+    their ``config`` block."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json" and path.name != "run_config.json":
+            record = json.loads(path.read_text())
+            record.pop("config")
+            found[path.name] = record
+        elif path.suffix == ".csv":
+            found[path.name] = path.read_text()
+    return found
+
+
+def _config_block(out: Path) -> dict:
+    (record,) = [json.loads(p.read_text())["config"] for p in out.glob("*.json")
+                 if p.name != "run_config.json"]
+    return record
+
+
+_HSB2_FLAGS = ["--input", str(hsb2_path()), "--response", "math"]
+_CALIBRATE_FLAGS = ["calibrate", "--M", "5", "--L", "-10", "--U", "5", "--epsilon", "1",
+                    "--nsim", "2000", "--seed", "9"]
+_RUNS = {
+    "test": ["test", *_HSB2_FLAGS, "--x0", "gender", "--x", "read", "--M", "5",
+             "--epsilon", "1", "--seed", "4"],
+    "calibrate-lrt": [*_CALIBRATE_FLAGS, "--df", "2", "--observed", "3"],
+    "calibrate-bf": [*_CALIBRATE_FLAGS, "--statistic", "bf", "--prior", "zs", "--n", "400",
+                     "--p", "2"],
+    "calibrate-pvalue": [*_CALIBRATE_FLAGS, "--statistic", "pvalue", "--L", "0", "--U", "1"],
+    "select": ["select", *_HSB2_FLAGS, "--x", "read,science", "--epsilon", "50",
+               "--data-entry-bound", "100", "--threshold", "--synthetic-n", "20", "--seed", "3"],
+    "region": ["region", *_HSB2_FLAGS, "--x", "read,science", "--no-noise",
+               "--functional", "beta:1", "--nsamples", "100", "--seed", "5"],
+    "simulate": ["simulate", "--p", "3", "--n", "400", "--snr", "1", "--n-active", "1",
+                 "--n-datasets", "1", "--epsilon", "1", "--prior", "bic", "--seed", "21"],
+}
+
+
+class TestOptionTable:
+    """One table gives the parser, the defaults, the required checks and
+    the recorded configuration."""
+
+    def test_config_file_statistic_reaches_the_run(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"statistic": "bf", "n": 400, "p": 2, "M": 5,
+                                      "epsilon": 1.0, "nsim": 2000, "seed": 1}))
+        assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        record = json.loads((tmp_path / "o" / "calibration.json").read_text())
+        assert record["statistic"] == "bf" and record["config"]["p0"] == 1
+
+    def test_run_command_fills_defaults_of_a_test_dict_without_pi0(self, tmp_path):
+        from dpms.split_aggregate import posterior_probability
+
+        cfg = {"command": "test", "input": str(hsb2_path()), "response": "math",
+               "x": "gender", "epsilon": 1.0, "M": 10, "seed": 7, "out": str(tmp_path)}
+        assert run_command(cfg) == 0
+        record = json.loads((tmp_path / "test_result.json").read_text())
+        assert record["p_h0"] == posterior_probability(record["log_bstar"], 0.5)
+        assert record["config"]["pi0"] == 0.5
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "calibrate", "M": 2, "df": 1, "epsilon": 1.0, "seed": 1},
+        {"command": "select", "input": str(hsb2_path()), "response": "math",
+         "x": "read,science", "no_noise": True, "threshold": True, "seed": 1},
+        {"command": "region", "input": str(hsb2_path()), "response": "math",
+         "x": "read,science", "no_noise": True, "seed": 1},
+        {"command": "simulate", "p": 3, "n": 400, "snr": 1.0, "n_active": 1, "n_datasets": 1,
+         "epsilon": 1.0, "seed": 1},
+    ], ids=lambda cfg: cfg["command"])
+    def test_run_command_needs_only_the_required_keys(self, tmp_path, cfg):
+        assert run_command(dict(cfg, out=str(tmp_path))) == 0
+        block = _config_block(tmp_path)
+        assert {k: block[k] for k in cfg} == cfg
+
+    @pytest.mark.parametrize("statistic", ["lrt", "pvalue"])
+    def test_calibrate_without_bayes_factors_neither_records_nor_takes_the_prior(
+            self, tmp_path, capsys, statistic):
+        argv = [*_CALIBRATE_FLAGS, "--statistic", statistic]
+        argv += ["--df", "1"] if statistic == "lrt" else []
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        block = _config_block(tmp_path / "o")
+        assert not {"prior", "g_value", "n", "p", "p0"} & set(block)
+        assert ("df" in block) == (statistic == "lrt")
+        for flag in ["--prior=g", "--g=5", "--n=400", "--p=2", "--p0=2"]:
+            assert main([*argv, flag, "--out", str(tmp_path / flag)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert flag.partition("=")[0] in err["message"]
+            assert statistic in err["message"]
+            assert not (tmp_path / flag).exists()
+
+    @pytest.mark.parametrize("statistic", ["bf", "pvalue"])
+    def test_df_belongs_to_the_likelihood_ratio_only(self, tmp_path, capsys, statistic):
+        extra = ["--n", "400", "--p", "2"] if statistic == "bf" else []
+        code = main([*_CALIBRATE_FLAGS, "--statistic", statistic, *extra, "--df", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "--df" in err["message"]
+
+    def test_config_blocks_record_the_defaults_the_run_reads(self, tmp_path):
+        out = {}
+        for name in ("calibrate-bf", "select", "simulate"):
+            assert main([*_RUNS[name], "--out", str(tmp_path / name)]) == 0
+            out[name] = _config_block(tmp_path / name)
+        assert out["calibrate-bf"]["p0"] == 1 and "df" not in out["calibrate-bf"]
+        assert out["select"]["model_prior"] == "hierarchical"
+        assert out["select"]["no_noise"] is False
+        assert out["simulate"]["beta_sd"] == 0.13
+        assert out["simulate"]["delta_wishart"] == math.exp(-10.0)
+        assert "delta" not in out["simulate"]
+
+    @pytest.mark.parametrize("delta", ["0", "-1e-5"])
+    def test_simulate_rejects_a_wishart_delta_that_is_not_positive(self, tmp_path, capsys,
+                                                                   delta):
+        code = main([*_RUNS["simulate"], f"--delta={delta}", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "--delta" in err["message"]
+
+    def test_first_missing_required_option_is_named(self, tmp_path, capsys):
+        code = main(["simulate", "--p", "3", "--n", "400", "--n-active", "1", "--seed", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "simulate requires --epsilon"
+        code = main(["calibrate", "--statistic", "bf", "--M", "5", "--epsilon", "1",
+                     "--n", "400", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "calibrate --statistic bf requires --p"
+
+    @pytest.mark.parametrize("key, value, flag", [("no_noise", "false", "--no-noise"),
+                                                  ("M", "ten", "--M"),
+                                                  ("prior", "jeffreys", "--prior")])
+    def test_config_file_value_of_the_wrong_kind_is_config_error(self, tmp_path, capsys,
+                                                                key, value, flag):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"input": str(hsb2_path()), "response": "math",
+                                      "x": "read", "epsilon": 1.0, "M": 5, "seed": 1,
+                                      key: value}))
+        assert main(["test", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and flag in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_run_reproduces_from_its_own_config_block(self, tmp_path, name):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([*_RUNS[name], "--out", str(first)]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(_config_block(first)))
+        command = _RUNS[name][0]
+        assert main([command, "--config", str(config), "--out", str(again)]) == 0
+        assert _artifacts(again) == _artifacts(first)
+        assert _config_block(again) == dict(_config_block(first), out=str(again))
+
+
+_TEXT = st.text("abcxyz019_.:/", min_size=1, max_size=8)
+
+
+def _option_value(option):
+    settings = option.argparse
+    if settings.get("action") == "store_true":
+        return st.just(True)
+    if "choices" in settings:
+        return st.sampled_from(settings["choices"])
+    if settings.get("type") is int:
+        return st.integers(-10**6, 10**6)
+    if settings.get("type") is float:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return _TEXT
+
+
+@st.composite
+def _command_options(draw, command):
+    """(option, value) pairs for a random set of the options ``command``
+    reads, every required one included."""
+    statistic = draw(st.sampled_from(["lrt", "bf", "pvalue"]))
+    chosen = []
+    for option in OPTIONS:
+        if command not in option.readers and f"{command}[{statistic}]" not in option.readers:
+            continue
+        if option.dest == "statistic":
+            chosen.append((option, statistic))
+        elif option.default == REQUIRED or draw(st.booleans()):
+            chosen.append((option, draw(_option_value(option))))
+    return chosen
+
+
+@pytest.mark.parametrize("command", ["test", "calibrate", "select", "region", "simulate"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flags_and_config_file_resolve_to_the_same_config(command, data):
+    chosen = data.draw(_command_options(command))
+    flags = [option.flag if value is True else f"{option.flag}={value}"
+             for option, value in chosen]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps({option.dest: value for option, value in chosen}))
+        from_file = _resolve_argv([command, "--config", str(config)])
+    from_flags = _resolve_argv([command, *flags])
+    assert from_flags == from_file
+    assert json.dumps(from_flags, sort_keys=True) == json.dumps(from_file, sort_keys=True)
+    assert {option.dest for option, _ in chosen} <= set(from_flags)
