@@ -33,7 +33,7 @@ print(f"per-subset log Bayes factors: min={logs.min():.2f} max={logs.max():.2f}"
 full_plan = make_split(data.n, 1, data.p + data.p0 + 1, seed=1)
 full_logs = per_subset_log_stats(data, full_plan, GPriorSpec.sample_size())
 reference = aggregate_private(full_logs, bounds, PrivacyBudget(1.0),
-                              child_rng(0, 0), noise_value=0.0)
+                              child_rng(0, 0), with_noise=False)
 print(f"non-private P(H1|D) = {1 - reference.posterior_h0(0.5):.4f}")
 
 print(f"\n{'epsilon':>8} {'median':>8} {'q25':>8} {'q75':>8}")

@@ -2,10 +2,11 @@
 
 The private statistics are not distributed like their non-private
 counterparts under the null, so critical values and p-values are
-calibrated by simulating the whole censor-average-noise pipeline from the
-known null law of the per-subset statistic (chi-squared for likelihood
-ratios, Beta for R^2, uniform for p-values).  The closed-form Beta tail
-bounds used in consistency arguments are exposed for validation.
+calibrated by running the release step itself
+(:func:`dpms.split_aggregate.release_means`) on draws from the known null
+law of the per-subset statistic (chi-squared for likelihood ratios, Beta
+for R^2, uniform for p-values).  The closed-form Beta tail bounds used in
+consistency arguments are exposed for validation.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import ConfigError, DataError, InsufficientSimulationsError
 from .linmodel import GPriorSpec, InfoCriterionSpec, log_stat
 # Bound here because perfbench/tracing.py wraps it under dpms.calibration.
 from .linmodel import log_bayes_factor  # noqa: F401
-from .mechanisms import PrivacyBudget, subsample_noise_scale
-from .split_aggregate import CensorBounds
+from .mechanisms import PrivacyBudget
+from .split_aggregate import CensorBounds, censor, release_means
 
 __all__ = [
     "NullSimConfig",
@@ -80,19 +81,6 @@ class EmpiricalNull:
         return self.sorted_samples.shape[0]
 
 
-def _censored_private_mean(
-    values: np.ndarray, cfg: NullSimConfig, rng: np.random.Generator, with_noise: bool
-) -> np.ndarray:
-    """The release pipeline on an (nsim, M) table of per-subset values:
-    censor each to [L, U] (in place), average over subsets, add the
-    release noise (drawn after the values) and censor the mean again."""
-    np.clip(values, cfg.bounds.L, cfg.bounds.U, out=values)
-    agg = values.mean(axis=1)
-    if with_noise:
-        agg += subsample_noise_scale(cfg.bounds, cfg.M, cfg.budget).sample(rng, cfg.nsim)
-    return np.clip(agg, cfg.bounds.L, cfg.bounds.U)
-
-
 def simulate_null_lrt(
     cfg: NullSimConfig, rng: np.random.Generator | None = None, *, with_noise: bool = True
 ) -> EmpiricalNull:
@@ -107,9 +95,9 @@ def simulate_null_lrt(
         raise ConfigError("simulate_null_lrt requires df in the configuration")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     log_lambda = 0.5 * rng.chisquare(cfg.df, size=(cfg.nsim, cfg.M))
+    released = release_means(log_lambda, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
     # Doubling is exact, so 2 clip(a, L, U) is bitwise clip(2a, 2L, 2U).
-    stat = 2.0 * _censored_private_mean(log_lambda, cfg, rng, with_noise)
-    return EmpiricalNull(np.sort(stat), "lrt")
+    return EmpiricalNull(np.sort(2.0 * censor(released, cfg.bounds)), "lrt")
 
 
 @lru_cache(maxsize=128)
@@ -154,7 +142,8 @@ def simulate_null_bf(
             cols[:, i] = _zs_interpolator(int(b), p, p0)(np.log1p(-r2))
         else:
             cols[:, i] = log_stat(r2, int(b), p, p0, stat)[0]
-    return EmpiricalNull(np.sort(_censored_private_mean(cols, cfg, rng, with_noise)), "bf")
+    released = release_means(cols, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
+    return EmpiricalNull(np.sort(censor(released, cfg.bounds)), "bf")
 
 
 def simulate_null_pvalue(
@@ -167,7 +156,8 @@ def simulate_null_pvalue(
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     u = rng.uniform(size=(cfg.nsim, cfg.M))
-    return EmpiricalNull(np.sort(_censored_private_mean(u, cfg, rng, with_noise)), "pvalue")
+    released = release_means(u, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
+    return EmpiricalNull(np.sort(censor(released, cfg.bounds)), "pvalue")
 
 
 def critical_value(null: EmpiricalNull, alpha: float) -> float:

@@ -4,11 +4,11 @@ Every option is declared once, in ``OPTIONS``: its flag, the commands that
 read it, its default (or ``REQUIRED``) and its argparse settings.  The
 parser, the defaults, the required checks and each artifact's ``config``
 block all come from that table.  A run's configuration is an optional
-JSON file, then the flags (flags win), then the table's defaults; on the
-command line a key the command does not read is a configuration error.
-Every artifact embeds the options the command read, so a run can be
-reproduced from its own output.  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numeric failure.
+JSON file (or, for ``run_command``, a dict), then the flags (flags win),
+then the table's defaults; a key the command does not read is a
+configuration error.  Every artifact embeds the options the command
+read, so a run can be reproduced from its own output.  Exit codes: 0
+success, 2 configuration error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ _SCORED = "test select region simulate calibrate[bf]"
 
 OPTIONS = (
     _opt("--seed", "test calibrate select region simulate", REQUIRED, type=int),
-    _opt("--out", "test calibrate select region simulate", "dpms-out", "output directory"),
+    _opt("--out", "test calibrate select region simulate", "dpms-out", "output directory",
+         type=str),
     _opt("--epsilon", "test calibrate simulate", REQUIRED, type=float),
     _opt("--epsilon", _GRAM, None, "required without --no-noise", type=float),
     _opt("--delta", "test calibrate select region", 0.0, "0 gives Laplace noise", type=float),
@@ -104,8 +105,8 @@ OPTIONS = (
          "delta of the Wishart methods (> 0)", type=float, dest="delta_wishart"),
     _opt("--prior", _SCORED, "g", choices=tuple(_PRIORS)),
     _opt("--g", _SCORED, None, "fixed g (default: sample size)", type=float, dest="g_value"),
-    _opt("--input", _DATA, REQUIRED, "CSV with one header row"),
-    _opt("--response", _DATA, REQUIRED),
+    _opt("--input", _DATA, REQUIRED, "CSV with one header row", type=str),
+    _opt("--response", _DATA, REQUIRED, type=str),
     _opt("--x0", "test", None, "comma-separated common predictor columns"),
     _opt("--x", _DATA, REQUIRED, "comma-separated (test: tested) predictor columns"),
     _opt("--no-noise", _DATA, False, "oracle mode, output NOT private", action="store_true"),
@@ -177,11 +178,10 @@ def _resolved(option: Option, value, label: str):
     return value
 
 
-def _resolve(given: dict, *, strict: bool) -> dict:
+def _resolve(given: dict) -> dict:
     """The configuration ``given["command"]`` runs with: every option it
-    reads, from ``given`` or else from the table.  With ``strict`` (the
-    command line) a key of ``given`` that the command does not read is a
-    configuration error; otherwise it is ignored."""
+    reads, from ``given`` or else from the table.  A key of ``given`` that
+    the command does not read is a configuration error."""
     command = given.get("command")
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -198,7 +198,7 @@ def _resolve(given: dict, *, strict: bool) -> dict:
         label = f"calibrate --statistic {cfg['statistic']}"
         take(f"calibrate[{cfg['statistic']}]", label)
     unread = sorted(set(given) - set(cfg))
-    if strict and unread:
+    if unread:
         flags = {option.dest: option.flag for option in OPTIONS}
         raise ConfigError(f"{label} does not read " + ", ".join(flags.get(k, k) for k in unread))
     return cfg
@@ -220,7 +220,7 @@ def _resolve_argv(argv) -> dict:
         if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
     given.update(args)
-    return _resolve(given, strict=True)
+    return _resolve(given)
 
 
 def _columns(value) -> tuple[str, ...]:
@@ -259,8 +259,7 @@ def _cmd_test(cfg: dict, out: Path) -> None:
     plan = make_split(data.n, cfg["M"], data.p + data.p0 + 1, seed)
     logs = per_subset_log_stats(data, plan, stat)
     rng = child_rng(seed, 1)
-    noise_value = 0.0 if cfg["no_noise"] else None
-    result = aggregate_private(logs, bounds, budget, rng, noise_value=noise_value)
+    result = aggregate_private(logs, bounds, budget, rng, with_noise=not cfg["no_noise"])
     private = not (cfg["no_noise"] or cfg["diagnostics"])
     record = result.to_record(pi0=cfg["pi0"], seed=seed, private=private)
     record["private"] = private
@@ -297,10 +296,10 @@ def _cmd_calibrate(cfg: dict, out: Path) -> None:
     write_json_record(out / "calibration.json", record)
 
 
-def _select_chain(cfg: dict, *, lambda_pct: float | None = None, r: float | None = None):
+def _release_gram(cfg: dict):
     """Ingest, build and release (or, with --no-noise, keep) the Gram
-    matrix, hard-threshold it at ``lambda_pct`` when given, and repair it
-    with the fixed ridge ``r`` or the auto policy."""
+    matrix: the data, the released chain and the stream that continues
+    after the release."""
     if not cfg["no_noise"] and cfg["epsilon"] is None:
         raise ConfigError(f"{cfg['command']} requires --epsilon unless --no-noise is set")
     data = ingest_csv(cfg["input"], cfg["response"], (), _columns(cfg["x"]),
@@ -313,17 +312,16 @@ def _select_chain(cfg: dict, *, lambda_pct: float | None = None, r: float | None
         budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
         sens = Sensitivity(l1=cfg["data_entry_bound"], l2=cfg["row_norm_bound"])
         chain = privatize_gram(gram, budget, sens, rng)
-    if lambda_pct is not None:
-        chain = threshold_offdiagonal(chain, lambda_pct, rng)
-    chain = pd_repair(chain, rng, r=r)
     return data, chain, rng
 
 
 def _cmd_select(cfg: dict, out: Path) -> None:
     from .gram import enumerate_posterior, synthetic_dataset
 
-    data, chain, rng = _select_chain(
-        cfg, lambda_pct=cfg["lambda_pct"] if cfg["threshold"] else None, r=cfg["r_fixed"])
+    data, chain, rng = _release_gram(cfg)
+    if cfg["threshold"]:
+        chain = threshold_offdiagonal(chain, cfg["lambda_pct"], rng)
+    chain = pd_repair(chain, rng, r=cfg["r_fixed"])
     post = enumerate_posterior(chain, _stat(cfg), cfg["model_prior"])
     budget = chain.law.budget
     write_csv(out / "posterior.csv", ["model", "log_marginal", "posterior"],
@@ -363,7 +361,8 @@ def _parse_functional(raw: str, p: int) -> Functional:
 
 
 def _cmd_region(cfg: dict, out: Path) -> None:
-    data, chain, rng = _select_chain(cfg)
+    # The region reads only G* and its law, so the release is not repaired.
+    data, chain, rng = _release_gram(cfg)
     functional = _parse_functional(cfg["functional"], data.p)
     region_cfg = RegionConfig(alpha=cfg["alpha"], nsamples=cfg["nsamples"], seed=cfg["seed"])
     samples = sample_region(chain, region_cfg, rng)
@@ -442,9 +441,10 @@ def _run(cfg: dict) -> int:
 
 def run_command(cfg: dict) -> int:
     """Run ``cfg["command"]`` with the options in ``cfg`` (by config key),
-    the table's defaults filling the rest; keys the command does not read
-    are ignored.  Returns the process exit code."""
-    return _run(_resolve(cfg, strict=False))
+    the table's defaults filling the rest; a key the command does not read
+    is a ``ConfigError``, as on the command line.  Returns the process exit
+    code."""
+    return _run(_resolve(cfg))
 
 
 def main(argv=None) -> int:

@@ -392,7 +392,8 @@ def enumerate_posterior(
     gammas = np.arange(1 << p)
     inclusion = np.empty((gs.shape[0], p))
     for j in range(p):
-        inclusion[:, j] = posterior[:, (gammas >> j) & 1 == 1].sum(axis=1)
+        # compress keeps each row contiguous, so it sums as it would alone.
+        inclusion[:, j] = np.compress((gammas >> j) & 1 == 1, posterior, axis=1).sum(axis=1)
     # A sum of masses can round past 1 (to 1 + 2^-52).
     np.clip(inclusion, 0.0, 1.0, out=inclusion)
     if g.ndim == 2:

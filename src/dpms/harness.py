@@ -14,7 +14,9 @@ import numpy as np
 
 from .datagen import SimStudyConfig, generate_sim_dataset
 from .gram import (
-    GramChain,
+    GramMatrix,
+    ModelPosterior,
+    _fit,
     build_gram,
     enumerate_posterior,
     oracle_chain,
@@ -104,6 +106,35 @@ def _bounded_dataset_fixed_beta(
     return RegressionData(y=y, x0=np.ones((n, 1)), x=x), beta
 
 
+def _dataset_posteriors(
+    gram: GramMatrix,
+    stat: GPriorSpec | InfoCriterionSpec,
+    prior_kind: str,
+    methods: tuple[str, ...],
+    epsilon: float,
+    delta_wishart: float,
+    sens: Sensitivity,
+    lambda_pct: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ModelPosterior]:
+    """The released matrices of one dataset, stacked, and their posteriors.
+
+    The zero-noise oracle chain comes first, then each method's chain, in
+    the order given and drawn from ``rng`` in that order: Laplace (LM,
+    LMT) or Wishart (WM, WMT) noise, a hard threshold for the T variants,
+    and the auto repair.  One enumeration scores the whole stack.
+    """
+    chains = [pd_repair(oracle_chain(gram), rng, r=0.0)]
+    for method in methods:
+        delta = 0.0 if method in ("LM", "LMT") else delta_wishart
+        chain = privatize_gram(gram, PrivacyBudget(epsilon, delta), sens, rng)
+        if method.endswith("T"):
+            chain = threshold_offdiagonal(chain, lambda_pct, rng)
+        chains.append(pd_repair(chain, rng))
+    gs = np.stack([chain.released for chain in chains])
+    return gs, enumerate_posterior(gs, stat, prior_kind, n=gram.n)
+
+
 def prop2_median_posteriors(
     n: int,
     n_seeds: int,
@@ -115,16 +146,14 @@ def prop2_median_posteriors(
     epsilon: float = 1.0,
     lambda_pct: float = 99.0,
     stat: GPriorSpec | InfoCriterionSpec | None = None,
-    beta_magnitude: float | None = None,
+    beta_magnitude: float,
 ) -> tuple[float, float]:
     """Median posterior mass of the true model: (private, oracle).
 
-    Per seed, one bounded dataset is generated, scored by the zero-noise
-    oracle chain and by the thresholded Laplace chain at the given
-    epsilon; the medians over seeds are returned.  ``beta_magnitude``
-    pins the active coefficients to a fixed absolute value (random
-    signs); otherwise they follow the simulation generator's normal
-    draws.
+    Per seed, one bounded dataset whose active coefficients have the
+    fixed absolute value ``beta_magnitude`` (random signs) is generated,
+    scored by the zero-noise oracle chain and by the thresholded Laplace
+    chain at the given epsilon; the medians over seeds are returned.
     """
     stat = InfoCriterionSpec.bic() if stat is None else stat
     sens = Sensitivity(l1=0.5, l2=0.5 * math.sqrt(p + 1))
@@ -132,50 +161,12 @@ def prop2_median_posteriors(
     post_oracle = np.empty(n_seeds)
     for s in range(n_seeds):
         rng = child_rng(seed, s)
-        if beta_magnitude is None:
-            cfg = SimStudyConfig(p=p, n=n, snr=snr, n_active=n_active,
-                                 seed=int(rng.integers(2**31)))
-            data, beta, _ = generate_sim_dataset(cfg, rng)
-        else:
-            data, beta = _bounded_dataset_fixed_beta(p, n, snr, n_active,
-                                                     beta_magnitude, rng)
+        data, beta = _bounded_dataset_fixed_beta(p, n, snr, n_active, beta_magnitude, rng)
         gamma_true = sum(1 << j for j in range(p) if beta[j] != 0.0)
-        gram = build_gram(reparametrize(data))
-
-        oracle = pd_repair(oracle_chain(gram), rng, r=0.0)
-        post_oracle[s] = enumerate_posterior(oracle, stat).posterior[gamma_true]
-
-        chain = privatize_gram(gram, PrivacyBudget(epsilon), sens, rng)
-        chain = threshold_offdiagonal(chain, lambda_pct, rng)
-        chain = pd_repair(chain, rng)
-        post_dp[s] = enumerate_posterior(chain, stat).posterior[gamma_true]
+        _, post = _dataset_posteriors(build_gram(reparametrize(data)), stat, "hierarchical",
+                                      ("LMT",), epsilon, 0.0, sens, lambda_pct, rng)
+        post_oracle[s], post_dp[s] = post.posterior[:, gamma_true]
     return float(np.median(post_dp)), float(np.median(post_oracle))
-
-
-def _full_model_beta(g: np.ndarray, n: int, stat, p0: int = 1) -> np.ndarray:
-    """Coefficients of the all-predictors model from a released Gram."""
-    p = g.shape[0] - 1
-    coef = np.linalg.solve(g[:p, :p], g[:p, p])
-    r2 = min(max(float(g[:p, p] @ coef) / g[p, p], 0.0), 1.0 - 1e-12)
-    return float(log_stat(r2, n, p, p0, stat)[1]) * coef
-
-
-def _method_chain(
-    method: str,
-    gram,
-    epsilon: float,
-    delta_wishart: float,
-    sens: Sensitivity,
-    lambda_pct: float,
-    rng: np.random.Generator,
-) -> GramChain:
-    if method in ("LM", "LMT"):
-        chain = privatize_gram(gram, PrivacyBudget(epsilon), sens, rng)
-    else:
-        chain = privatize_gram(gram, PrivacyBudget(epsilon, delta_wishart), sens, rng)
-    if method.endswith("T"):
-        chain = threshold_offdiagonal(chain, lambda_pct, rng)
-    return pd_repair(chain, rng)
 
 
 @dataclass(frozen=True)
@@ -221,23 +212,15 @@ def mse_study_cell(
         )
         centered = reparametrize(data)
         v, v_beta = centered.v, centered.v @ beta
-        gram = build_gram(centered)
-
-        def score(chain: GramChain, post, method: str, incl_oracle) -> SimRecord:
-            mse = float(np.mean((v_beta - v @ post.beta_avg) ** 2))
-            beta_full = _full_model_beta(chain.released, cfg.n, stat)
-            mse_full = float(np.mean((v_beta - v @ beta_full) ** 2))
+        gs, post = _dataset_posteriors(build_gram(centered), stat, prior_kind, methods,
+                                       epsilon, delta_wishart, sens, lambda_pct, rng)
+        # The all-predictors model of every released matrix, with its shrinkage.
+        coef, r2, _ = _fit(gs, np.arange(cfg.p)[None])
+        beta_full = log_stat(r2, cfg.n, cfg.p, 1, stat)[1] * coef[:, 0]
+        for i, method in enumerate(("O", *methods)):
+            mse = float(np.mean((v_beta - v @ post.beta_avg[i]) ** 2))
+            mse_full = float(np.mean((v_beta - v @ beta_full[i]) ** 2))
             rel = (mse_full - mse) / mse_full if mse_full > 0 else 0.0
-            dist = (float(np.linalg.norm(post.inclusion - incl_oracle)) / math.sqrt(cfg.p)
-                    if incl_oracle is not None else 0.0)
-            return SimRecord(cfg.snr, epsilon, rep, method, mse, mse_full, rel, dist)
-
-        oracle = pd_repair(oracle_chain(gram), rng, r=0.0)
-        oracle_post = enumerate_posterior(oracle, stat, prior_kind)
-        records.append(score(oracle, oracle_post, "O", None))
-        for method in methods:
-            chain = _method_chain(method, gram, epsilon, delta_wishart, sens,
-                                  lambda_pct, rng)
-            post = enumerate_posterior(chain, stat, prior_kind)
-            records.append(score(chain, post, method, oracle_post.inclusion))
+            dist = float(np.linalg.norm(post.inclusion[i] - post.inclusion[0])) / math.sqrt(cfg.p)
+            records.append(SimRecord(cfg.snr, epsilon, rep, method, mse, mse_full, rel, dist))
     return records

@@ -36,6 +36,7 @@ __all__ = [
     "split_sizes",
     "make_split",
     "censor",
+    "release_means",
     "per_subset_log_stats",
     "aggregate_private",
     "posterior_probability",
@@ -127,6 +128,31 @@ def make_split(n: int, M: int, min_subset: int, seed: int) -> SplitPlan:
 def censor(x, bounds: CensorBounds):
     """Clamp a value (or array) to [L, U]."""
     return np.clip(x, bounds.L, bounds.U)
+
+
+def release_means(
+    values: np.ndarray,
+    bounds: CensorBounds,
+    budget: PrivacyBudget,
+    rng: np.random.Generator,
+    *,
+    with_noise: bool = True,
+) -> np.ndarray | float:
+    """The release step on an (..., M) array of per-subset values: censor
+    each to [L, U] (in place), average over the last axis, and add one
+    draw of the release law (:func:`dpms.mechanisms.subsample_noise_scale`)
+    per mean, drawn after the values.  ``with_noise=False`` leaves the
+    means noiseless and draws nothing.
+
+    :func:`aggregate_private` releases one row; the null simulators of
+    :mod:`dpms.calibration` release ``nsim`` rows, so their calibration
+    simulates exactly this step.
+    """
+    np.clip(values, bounds.L, bounds.U, out=values)
+    means = values.mean(axis=-1)
+    if with_noise:
+        means += subsample_noise_scale(bounds, values.shape[-1], budget).sample(rng, means.shape)
+    return means
 
 
 # What each check of _r2_stack found, in its order.
@@ -226,17 +252,16 @@ def per_subset_log_stats(
 class DPTestResult:
     """Private test output: the noisy average of censored log statistics.
 
-    ``law`` is the noise law of the release and ``noise`` its realised
-    value.  ``per_subset_logs`` (the censored per-subset values) is
-    retained for the non-private diagnostics mode only and must never
-    appear in output marked private; ``to_record`` enforces that.
+    ``law`` is the noise law of the release.  ``per_subset_logs`` (the
+    censored per-subset values) is retained for the non-private
+    diagnostics mode only and must never appear in output marked private;
+    ``to_record`` enforces that.
     """
 
     log_bstar: float
     log_bstar_censored: float
     per_subset_logs: np.ndarray
     law: NoiseScale
-    noise: float
     budget: PrivacyBudget
     bounds: CensorBounds
 
@@ -272,26 +297,24 @@ def aggregate_private(
     budget: PrivacyBudget,
     rng: np.random.Generator,
     *,
-    noise_value: float | None = None,
+    with_noise: bool = True,
 ) -> DPTestResult:
-    """Censor, average, and privatize per-subset log statistics.
+    """Censor, average, and privatize per-subset log statistics
+    (:func:`release_means` on one row).
 
-    ``noise_value`` overrides the sampled noise (test hook; 0.0 gives the
-    noiseless aggregate while keeping the rest of the pipeline intact).
+    ``with_noise=False`` gives the noiseless aggregate (oracle runs and
+    tests) while keeping the rest of the pipeline intact.
     """
-    per_subset = np.asarray(per_subset, dtype=float)
-    if per_subset.ndim != 1 or per_subset.size == 0:
+    censored = np.array(per_subset, dtype=float)
+    if censored.ndim != 1 or censored.size == 0:
         raise ConfigError("per-subset statistics must be a nonempty 1-d array")
-    censored = censor(per_subset, bounds)
-    law = subsample_noise_scale(bounds, per_subset.size, budget)
-    noise = law.sample(rng) if noise_value is None else float(noise_value)
-    log_bstar = float(np.mean(censored)) + noise
+    law = subsample_noise_scale(bounds, censored.size, budget)
+    log_bstar = float(release_means(censored, bounds, budget, rng, with_noise=with_noise))
     return DPTestResult(
         log_bstar=log_bstar,
         log_bstar_censored=float(censor(log_bstar, bounds)),
         per_subset_logs=censored,
         law=law,
-        noise=noise,
         budget=budget,
         bounds=bounds,
     )

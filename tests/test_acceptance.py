@@ -85,7 +85,7 @@ def test_c01_hsb2_nonprivate_anchors():
     for name, data in (("H11", _gender_test_data()), ("H12", _read_given_science_data())):
         plan = make_split(data.n, 1, data.p + data.p0 + 1, SPLIT_SEED)
         logs = per_subset_log_stats(data, plan, GPriorSpec.sample_size())
-        res = aggregate_private(logs, bounds, budget, child_rng(0, 0), noise_value=0.0)
+        res = aggregate_private(logs, bounds, budget, child_rng(0, 0), with_noise=False)
         results[name] = 1.0 - res.posterior_h0(0.5)
     elapsed = time.perf_counter() - t0
     assert results["H11"] == pytest.approx(0.07, abs=0.02)
@@ -122,9 +122,9 @@ def test_c03_reciprocal_symmetry():
     plan = make_split(data.n, 10, data.p + data.p0 + 1, SPLIT_SEED)
     logs = per_subset_log_stats(data, plan, GPriorSpec.sample_size())
     budget = PrivacyBudget(1.0)
-    fwd = aggregate_private(logs, bounds, budget, child_rng(0, 0), noise_value=0.0)
+    fwd = aggregate_private(logs, bounds, budget, child_rng(0, 0), with_noise=False)
     rev = aggregate_private(-logs, bounds.reflected(), budget, child_rng(0, 0),
-                            noise_value=0.0)
+                            with_noise=False)
     assert rev.log_bstar == -fwd.log_bstar  # bit-exact antisymmetry
 
     mean_fwd = float(np.mean(censor(logs, bounds)))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpms.cli import OPTIONS, REQUIRED, _resolve_argv, main, run_command
-from dpms.errors import DataError
+from dpms.errors import ConfigError, DataError, RepairFailureError
 from dpms import io as dpms_io
 from dpms.io import hsb2_path, ingest_csv, load_hsb2, read_numeric_columns
 
@@ -226,10 +226,6 @@ def _base_test_cfg(out_dir):
         "seed": 7,
         "pi0": 0.5,
         "delta": 0.0,
-        "lambda_pct": 99.0,
-        "alpha": 0.05,
-        "nsim": 1000,
-        "nsamples": 1000,
         "prior": "g",
         "out": str(out_dir),
     }
@@ -282,11 +278,7 @@ class TestRunCommand:
             "prior": "bic",
             "seed": 3,
             "lambda_pct": 99.0,
-            "alpha": 0.05,
-            "nsim": 100,
-            "nsamples": 1000,
             "delta": 0.0,
-            "pi0": 0.5,
             "out": str(tmp_path / "s1"),
         }
         run_command(cfg)
@@ -314,10 +306,6 @@ class TestRunCommand:
             "prior": "bic",
             "seed": 5,
             "lambda_pct": 99.0,
-            "alpha": 0.05,
-            "nsim": 100,
-            "nsamples": 1000,
-            "pi0": 0.5,
             "synthetic_n": 50,
             "out": str(tmp_path / "sel"),
         }
@@ -348,10 +336,6 @@ class TestRunCommand:
             "alpha": 0.05,
             "seed": 9,
             "observed": 3.0,
-            "pi0": 0.5,
-            "lambda_pct": 99.0,
-            "nsamples": 1000,
-            "prior": "g",
             "out": str(tmp_path / "cal"),
         }
         run_command(cfg)
@@ -376,9 +360,6 @@ class TestRunCommand:
             "functional": "inclusion:0",
             "prior": "bic",
             "seed": 12,
-            "lambda_pct": 99.0,
-            "nsim": 100,
-            "pi0": 0.5,
             "out": str(tmp_path / "reg"),
         }
         run_command(cfg)
@@ -398,11 +379,6 @@ class TestRunCommand:
             "prior": "bic",
             "seed": 21,
             "lambda_pct": 99.0,
-            "alpha": 0.05,
-            "nsim": 100,
-            "nsamples": 1000,
-            "pi0": 0.5,
-            "delta": 0.0,
             "out": str(tmp_path / "sim"),
         }
         run_command(cfg)
@@ -438,6 +414,37 @@ class TestCliEntry:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RepairFailureError"
+
+    def test_region_does_not_repair_the_release(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RepairFailureError("the region reads only the unrepaired release")
+
+        monkeypatch.setattr("dpms.cli.pd_repair", refuse)
+        code = main(["region", "--input", str(hsb2_path()), "--response", "math",
+                     "--x", "read,science", "--epsilon", "2000", "--data-entry-bound", "80",
+                     "--nsamples", "120", "--prior", "bic", "--seed", "12",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert json.loads((tmp_path / "o" / "region.json").read_text())["mechanism"] == "laplace"
+
+    def test_run_command_rejects_a_key_the_command_does_not_read(self, tmp_path):
+        cfg = dict(_base_test_cfg(tmp_path / "out"), pi_0=0.9)
+        with pytest.raises(ConfigError, match="pi_0"):
+            run_command(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_path_options_from_a_config_file_are_strings(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = {"input": str(hsb2_path()), "response": "math", "x": "read", "epsilon": 1.0,
+                "M": 5, "seed": 1}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(base, input=5)))
+        assert main(["test", "--config", str(config)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and err["exit_code"] == 3
+        config.write_text(json.dumps(dict(base, out=5)))
+        assert main(["test", "--config", str(config)]) == 0
+        assert _config_block(tmp_path / "5")["out"] == "5"
 
     def test_zellner_siow_non_convergence_is_numeric_error(self, tmp_path, capsys,
                                                            monkeypatch):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpms.errors import ConfigError, RankError, SplitInfeasibleError
 from dpms.io import load_hsb2
@@ -16,7 +18,7 @@ from dpms.linmodel import (
     r_squared,
     reparametrize,
 )
-from dpms.mechanisms import PrivacyBudget
+from dpms.mechanisms import PrivacyBudget, subsample_noise_scale
 from dpms.split_aggregate import (
     CensorBounds,
     SplitPlan,
@@ -229,7 +231,7 @@ class TestAggregatePrivate:
     def test_zero_noise_equals_common_value(self):
         bounds = default_bounds()
         res = aggregate_private(np.full(7, 1.3), bounds, PrivacyBudget(1.0),
-                                np.random.default_rng(0), noise_value=0.0)
+                                np.random.default_rng(0), with_noise=False)
         assert res.log_bstar == 1.3
         assert res.log_bstar_censored == 1.3
 
@@ -238,9 +240,9 @@ class TestAggregatePrivate:
         stats = rng.normal(0.0, 3.0, size=9)
         bounds = default_bounds()
         fwd = aggregate_private(stats, bounds, PrivacyBudget(1.0),
-                                np.random.default_rng(0), noise_value=0.0)
+                                np.random.default_rng(0), with_noise=False)
         rev = aggregate_private(-stats, bounds.reflected(), PrivacyBudget(1.0),
-                                np.random.default_rng(0), noise_value=0.0)
+                                np.random.default_rng(0), with_noise=False)
         assert rev.log_bstar == -fwd.log_bstar
 
     def test_interquartile_range_of_noise(self):
@@ -276,6 +278,41 @@ class TestAggregatePrivate:
                                "epsilon", "delta", "M", "L", "U", "mechanism", "seed"}
         diag = res.to_record(pi0=0.5, seed=1, private=False)
         assert "per_subset_logs" in diag
+
+
+# A well-conditioned dataset and a fixed split for the neighbour test.
+_NEIGHBOUR_DATA = _regression(60, 1, 2, seed=11)
+_NEIGHBOUR_PLAN = make_split(60, 5, 4, seed=12)
+
+
+def _column_value(column):
+    return st.floats(float(column.min()), float(column.max()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(row=st.integers(0, 59), y=_column_value(_NEIGHBOUR_DATA.y),
+       x1=_column_value(_NEIGHBOUR_DATA.x[:, 0]), x2=_column_value(_NEIGHBOUR_DATA.x[:, 1]),
+       epsilon=st.floats(0.01, 10.0))
+def test_neighbour_moves_the_noiseless_release_by_at_most_the_declared_width(
+        row, y, x1, x2, epsilon):
+    """Replacing one row by a row inside the data's range moves one
+    subset's censored statistic, so the mean by at most (U - L)/M, the
+    sensitivity the Laplace scale (U - L)/(M epsilon) is calibrated to."""
+    data, plan, bounds = _NEIGHBOUR_DATA, _NEIGHBOUR_PLAN, CensorBounds(-1.0, 2.0)
+    neighbour_y, neighbour_x = data.y.copy(), data.x.copy()
+    neighbour_y[row], neighbour_x[row] = y, (x1, x2)
+    neighbour = RegressionData(y=neighbour_y, x0=data.x0, x=neighbour_x)
+    budget, stat = PrivacyBudget(epsilon), GPriorSpec.sample_size()
+    released = [
+        aggregate_private(per_subset_log_stats(d, plan, stat), bounds, budget,
+                          np.random.default_rng(0), with_noise=False)
+        for d in (data, neighbour)
+    ]
+    assert abs(released[1].log_bstar - released[0].log_bstar) <= bounds.width / plan.M + 1e-12
+    law = subsample_noise_scale(bounds, plan.M, budget)
+    assert law == released[0].law
+    assert law.mechanism == "laplace"
+    assert law.scale == pytest.approx(bounds.width / (plan.M * epsilon), rel=1e-14)
 
 
 class TestPosteriorProbability:
