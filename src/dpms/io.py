@@ -109,11 +109,11 @@ def ingest_csv(
     x0_columns: tuple[str, ...] = (),
     x_columns: tuple[str, ...] = (),
     *,
-    add_intercept: bool = True,
     warn_unit_box: bool = False,
 ) -> RegressionData:
     """Build RegressionData from a headered CSV.
 
+    The common predictors x0 are an intercept followed by ``x0_columns``.
     Rows are numbered from 1 (excluding the header) in error messages.
     ``warn_unit_box`` flags values outside (-0.5, 0.5), which matter only
     when the Gram release is the target (its sensitivity bounds assume
@@ -121,18 +121,13 @@ def ingest_csv(
     """
     cols = read_numeric_columns(path, (response, *x0_columns, *x_columns))
     y = cols[response]
-    x0_parts = [cols[c] for c in x0_columns]
     x_parts = [cols[c] for c in x_columns]
     if not x_parts:
         raise DataError("at least one tested predictor column is required")
     for name, col in zip(x_columns, x_parts):
         if np.ptp(col) == 0.0:
             raise DataError(f"tested column {name!r} is constant")
-    if add_intercept:
-        x0_parts = [np.ones_like(y)] + x0_parts
-    if not x0_parts:
-        raise DataError("need at least one common predictor (or an intercept)")
-    x0 = np.column_stack(x0_parts)
+    x0 = np.column_stack([np.ones_like(y), *(cols[c] for c in x0_columns)])
     x = np.column_stack(x_parts)
     if warn_unit_box:
         stacked = np.column_stack([x, y])

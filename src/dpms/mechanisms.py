@@ -5,12 +5,14 @@ its law once, from the budget: :func:`subsample_noise_scale` gives the
 Laplace or analytic-Gaussian law of a subsample-and-aggregate mean, and
 :func:`gram_law` the Laplace or Wishart error law of the Gram release
 (:class:`ZeroGramLaw` is the zero-noise oracle).  A Gram law samples its
-error (one draw, or a stack equal to that many single draws in turn, so
-batching never moves a stream), gives the quantiles of an off-diagonal
+error (one draw, or a stack), gives the quantiles of an off-diagonal
 entry's absolute value (for hard thresholds), and builds the central
-acceptance set that confidence regions sample from.  Everything is pure
-given a ``numpy.random.Generator``; callers own their streams (see
-:func:`child_rng`).
+acceptance set whose ``draws`` confidence regions sample.  A Laplace or
+zero stack equals that many single draws in turn.  A Wishart stack takes
+its variates in bulk, so Wishart draws depend on the stack size and on
+DRAW_CHUNK as well as on the stream; a single draw is a stack of one.
+Everything is pure given a ``numpy.random.Generator``; callers own their
+streams (see :func:`child_rng`).
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ __all__ = [
 QUANTILE_DRAWS = 100_000
 # Largest stack of Gram error draws formed at once.
 DRAW_CHUNK = 2_000
+# Bracketing and bisection steps allowed in analytic_gaussian_sigma.
+SIGMA_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,7 @@ def classical_gaussian_sigma(budget: PrivacyBudget, l2: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / budget.delta)) * l2 / budget.epsilon
 
 
-def analytic_gaussian_sigma(
-    budget: PrivacyBudget, l2: float, *, max_iter: int = 500
-) -> float:
+def analytic_gaussian_sigma(budget: PrivacyBudget, l2: float) -> float:
     """Minimal Gaussian standard deviation meeting (epsilon, delta)-privacy.
 
     Solves delta(sigma) = delta by bisection on the exact privacy-loss
@@ -164,7 +166,7 @@ def analytic_gaussian_sigma(
     while _gaussian_delta(hi, eps, 1.0) > delta:
         hi *= 2.0
         it += 1
-        if it > max_iter:
+        if it > SIGMA_MAX_ITER:
             raise NumericError(
                 "failed to bracket sigma from above",
                 {"epsilon": eps, "delta": delta, "hi": hi},
@@ -173,10 +175,10 @@ def analytic_gaussian_sigma(
     while _gaussian_delta(lo, eps, 1.0) <= delta:
         lo /= 2.0
         it += 1
-        if lo < 1e-300 or it > max_iter:
+        if lo < 1e-300 or it > SIGMA_MAX_ITER:
             # delta(sigma) <= delta for arbitrarily small sigma: delta ~ 1.
             return float(lo * l2)
-    for _ in range(max_iter):
+    for _ in range(SIGMA_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if _gaussian_delta(mid, eps, 1.0) <= delta:
             hi = mid
@@ -232,21 +234,14 @@ def wishart_dof(p: int, budget: PrivacyBudget) -> int:
 def _wishart_bartlett(dim: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` Wishart(k, I_dim) draws via the Bartlett decomposition.
 
-    The raw variates are taken draw by draw, in the order one draw at a
-    time would take them (the below-diagonal normals, then the diagonal
-    chi-squares), so the stack equals ``size`` single draws; only the
-    products are formed as one batch.
+    All below-diagonal normals come from one call, then all diagonal
+    chi-squares (k - i degrees of freedom in column i) from another, so a
+    stack of one takes its variates in the order a single draw always has.
     """
     il = np.tril_indices(dim, k=-1)
-    normals = np.empty((size, il[0].size))
-    chi2 = np.empty((size, dim))
-    dof = (k - np.arange(dim)).astype(float)
-    for i in range(size):
-        rng.standard_normal(out=normals[i])
-        chi2[i] = rng.chisquare(dof)
     a = np.zeros((size, dim, dim))
-    a[:, il[0], il[1]] = normals
-    a[:, np.arange(dim), np.arange(dim)] = np.sqrt(chi2)
+    a[:, il[0], il[1]] = rng.standard_normal((size, il[0].size))
+    a[:, np.arange(dim), np.arange(dim)] = np.sqrt(rng.chisquare(k - np.arange(dim), (size, dim)))
     return a @ a.transpose(0, 2, 1)
 
 
@@ -267,7 +262,8 @@ def _one_or_stack(draw, size: int | None) -> np.ndarray:
 
 def draw_chunks(law, n: int, rng: np.random.Generator):
     """``n`` draws of ``law`` as consecutive stacks of at most DRAW_CHUNK,
-    so no stack outgrows a few MB; together they equal ``n`` single draws."""
+    so no stack outgrows a few MB.  For the Wishart law the draws depend
+    on DRAW_CHUNK as well as on the stream (see :func:`_wishart_bartlett`)."""
     for start in range(0, n, DRAW_CHUNK):
         yield law.sample(rng, min(DRAW_CHUNK, n - start))
 
@@ -324,8 +320,8 @@ class WishartGramLaw:
             raise ConfigError("row-norm bound must be positive")
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """One (p+1)x(p+1) error, or a (size, p+1, p+1) stack equal to
-        ``size`` single draws in turn."""
+        """One (p+1)x(p+1) error, or a (size, p+1, p+1) stack whose
+        variates are drawn in bulk."""
         m = self.p + 1
         return _one_or_stack(
             lambda n: (self.l2**2 * _wishart_bartlett(m, self.k, n, rng)
@@ -403,15 +399,7 @@ def wishart_gram_error(
     return WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget).sample(rng)
 
 
-class _CentralSet:
-    """A central (1-alpha) set of Gram errors."""
-
-    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n error draws restricted to the set, as an (n, m, m) stack."""
-        return np.concatenate(list(draw_chunks(self, n, rng)))
-
-
-class _LaplaceBox(_CentralSet):
+class _LaplaceBox:
     """Componentwise central box for the independent Laplace error.
 
     Each of the m = (p+1)(p+2)/2 free coordinates gets a two-sided
@@ -429,65 +417,52 @@ class _LaplaceBox(_CentralSet):
         iu = np.triu_indices(self.dim)
         return bool(np.all(np.abs(e[iu]) <= self.half_width))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n error draws restricted to the box, as an (n, m, m) stack."""
         # Inverse-CDF sampling of Laplace truncated to [-w, w]: the CDF at
         # w is 1 - exp(-w/b)/2, symmetric about 1/2.
         hi = 1.0 - 0.5 * math.exp(-self.half_width / self.scale)
-
-        def draw(n):
-            u = rng.uniform(1.0 - hi, hi, size=(n, self.dim * (self.dim + 1) // 2))
-            draws = np.where(
-                u < 0.5,
-                self.scale * np.log(2.0 * u),
-                -self.scale * np.log(2.0 * (1.0 - u)),
-            )
-            return _symmetric(self.dim, draws)
-
-        return _one_or_stack(draw, size)
+        u = rng.uniform(1.0 - hi, hi, size=(n, self.dim * (self.dim + 1) // 2))
+        draws = np.where(u < 0.5, self.scale * np.log(2.0 * u),
+                         -self.scale * np.log(2.0 * (1.0 - u)))
+        return _symmetric(self.dim, draws)
 
 
-class _WishartBall(_CentralSet):
+class _WishartBall:
     """Spectral-norm acceptance set for the dependent Wishart error.
 
     The radius is the empirical (1-alpha) quantile of the spectral norm
-    over calibration draws, so rejecting the largest alpha fraction gives
-    an acceptance set of probability 1 - alpha; sampling is by rejection.
+    over QUANTILE_DRAWS calibration draws, so rejecting the largest alpha
+    fraction gives an acceptance set of probability 1 - alpha.  Sampling
+    rejects whole DRAW_CHUNK stacks and keeps the first n accepted draws,
+    so the draws depend on n and on DRAW_CHUNK as well as on the stream.
     """
 
-    # Consecutive rejections after which rejection sampling gives up.
+    # Draws without an acceptance after which rejection sampling gives up.
     STALL = 10_000
 
-    def __init__(self, law: WishartGramLaw, alpha: float, rng: np.random.Generator,
-                 calibration_draws: int = 100_000):
+    def __init__(self, law: WishartGramLaw, alpha: float, rng: np.random.Generator):
         self.law = law
         norms = np.concatenate([_spectral_norms(e)
-                                for e in draw_chunks(law, calibration_draws, rng)])
+                                for e in draw_chunks(law, QUANTILE_DRAWS, rng)])
         self.radius = float(np.quantile(norms, 1.0 - alpha))
 
     def contains(self, e: np.ndarray) -> bool:
         return bool(_spectral_norms(e) <= self.radius)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        return _one_or_stack(lambda n: self._accepted(n, rng), size)
-
-    def _accepted(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # Each round draws only as many errors as are still missing, so no
-        # draw lands past the n-th acceptance and the stream is consumed
-        # exactly as by n rejection loops in turn (n is at most DRAW_CHUNK
-        # when called through draws()).
+    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n error draws restricted to the ball, as an (n, m, m) stack."""
         kept: list[np.ndarray] = []
-        missing, run = n, 0
-        while missing:
-            e = self.law.sample(rng, missing)
-            ok = _spectral_norms(e) <= self.radius
-            hits = np.flatnonzero(ok)
-            gaps = np.diff(hits, prepend=-1 - run) - 1
-            run = ok.size - 1 - hits[-1] if hits.size else run + ok.size
-            if max(run, gaps.max(initial=0)) >= self.STALL:
+        found = stalled = 0
+        while found < n:
+            e = self.law.sample(rng, DRAW_CHUNK)
+            e = e[_spectral_norms(e) <= self.radius]
+            stalled = 0 if len(e) else stalled + DRAW_CHUNK
+            if stalled >= self.STALL:
                 raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
-            kept.append(e[ok])
-            missing -= hits.size
-        return np.concatenate(kept)
+            kept.append(e)
+            found += len(e)
+        return np.concatenate(kept)[:n]
 
 
 def _spectral_norms(e: np.ndarray) -> np.ndarray:
@@ -495,7 +470,7 @@ def _spectral_norms(e: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(e)).max(axis=-1)
 
 
-class _Origin(_CentralSet):
+class _Origin:
     """The zero law's acceptance set: the zero matrix alone."""
 
     def __init__(self, dim: int):
@@ -504,8 +479,5 @@ class _Origin(_CentralSet):
     def contains(self, e: np.ndarray) -> bool:
         return bool(np.allclose(e, 0.0))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        return _one_or_stack(lambda n: np.zeros((n, self.dim, self.dim)), size)
-
     def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.sample(rng, 1)  # a single point needs a single candidate
+        return np.zeros((1, self.dim, self.dim))  # a single point needs a single candidate

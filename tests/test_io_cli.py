@@ -30,7 +30,7 @@ def tiny_csv(tmp_path):
 
 class TestIngestCsv:
     def test_exact_matrix_recovery(self, tiny_csv):
-        data = ingest_csv(tiny_csv, "y", ("x2",), ("x1",), add_intercept=True)
+        data = ingest_csv(tiny_csv, "y", ("x2",), ("x1",))
         np.testing.assert_array_equal(data.y, [1.0, 4.0, 7.0, -1.0, 9.0])
         np.testing.assert_array_equal(data.x0[:, 1], [3.0, 6.0, 10.0, 2.0, 4.0])
         np.testing.assert_array_equal(data.x[:, 0], [2.0, 5.0, 8.0, 0.5, 1.5])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dpms.errors import ConfigError, NumericError, WrongMechanismError
+from dpms.errors import ConfigError, EmptyRegionError, NumericError, WrongMechanismError
 from dpms.mechanisms import (
     LaplaceGramLaw,
     NoiseScale,
@@ -202,25 +202,28 @@ class TestWishartGramError:
             assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * np.trace(shifted)
 
     def test_entrywise_mean_near_zero(self):
+        # Single draws, then one stack: the stack's column i of chi-squares
+        # must carry k - i degrees of freedom like a single draw's.
         budget = PrivacyBudget(2.0, 0.5)
         k = wishart_dof(2, budget)
         rng = np.random.default_rng(7)
-        total = np.zeros((3, 3))
         n_draws = 10_000
-        for _ in range(n_draws):
-            total += wishart_gram_error(2, budget, 1.0, rng)
-        mean = total / n_draws
+        single = np.array([wishart_gram_error(2, budget, 1.0, rng) for _ in range(n_draws)])
+        stacked = WishartGramLaw(2, k, 1.0, budget).sample(rng, n_draws)
         # Var(M_ij) = k (1 + delta_ij) for unit scale.
         se = np.sqrt(k * (np.eye(3) + 1.0) / n_draws)
-        assert np.all(np.abs(mean) <= 3 * se)
+        for draws in (single, stacked):
+            assert np.all(np.abs(draws.mean(axis=0)) <= 3 * se)
 
     def test_diagonal_variance_identity(self):
         budget = PrivacyBudget(2.0, 0.5)
         k = wishart_dof(1, budget)
         rng = np.random.default_rng(8)
-        diags = np.array([np.diag(wishart_gram_error(1, budget, 1.0, rng))
-                          for _ in range(10_000)])
-        assert diags.var(axis=0) == pytest.approx(2.0 * k, rel=0.1)
+        single = np.array([wishart_gram_error(1, budget, 1.0, rng) for _ in range(10_000)])
+        stacked = WishartGramLaw(1, k, 1.0, budget).sample(rng, 10_000)
+        for draws in (single, stacked):
+            diags = np.diagonal(draws, axis1=1, axis2=2)
+            assert diags.var(axis=0) == pytest.approx(2.0 * k, rel=0.1)
 
     def test_rejects_zero_delta(self):
         with pytest.raises(WrongMechanismError):
@@ -274,10 +277,11 @@ class TestNoiseLaws:
 
 
 class TestStackedGramDraws:
-    """``sample(rng, size=N)`` equals N single draws taken in turn, so a
-    stacked draw leaves every RNG stream where the serial loop left it."""
+    """For the Laplace and zero laws ``sample(rng, size=N)`` equals N
+    single draws taken in turn, so a stacked draw leaves the RNG stream
+    where the serial loop left it.  A Wishart stack draws in bulk."""
 
-    @pytest.mark.parametrize("name", GRAM_LAWS)
+    @pytest.mark.parametrize("name", ["zero", "laplace"])
     def test_law_stack_equals_single_draws(self, name):
         law = GRAM_LAWS[name]
         stacked = law.sample(np.random.default_rng(33), 40)
@@ -292,21 +296,21 @@ class TestStackedGramDraws:
 
     def test_laplace_box_stack_equals_single_draws(self):
         box = _LaplaceBox(GRAM_LAWS["laplace"], 0.1)
-        stacked = box.sample(np.random.default_rng(34), 40)
+        stacked = box.draws(40, np.random.default_rng(34))
         rng = np.random.default_rng(34)
-        assert np.array_equal(stacked, np.stack([box.sample(rng) for _ in range(40)]))
+        assert np.array_equal(stacked, np.stack([box.draws(1, rng)[0] for _ in range(40)]))
 
-    def test_wishart_ball_draws_equal_serial_rejection(self):
-        law = GRAM_LAWS["wishart"]
-        ball = _WishartBall(law, 0.3, np.random.default_rng(35), calibration_draws=2000)
-        stacked = ball.draws(60, np.random.default_rng(36))
-        rng = np.random.default_rng(36)
-        serial = []
-        while len(serial) < 60:
-            e = law.sample(rng)
-            if ball.contains(e):
-                serial.append(e)
-        assert np.array_equal(stacked, np.stack(serial))
+    def test_wishart_ball_draws_n_members(self):
+        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3, np.random.default_rng(35))
+        draws = ball.draws(60, np.random.default_rng(36))
+        assert draws.shape == (60, 3, 3)
+        assert all(ball.contains(e) for e in draws)
+
+    def test_wishart_ball_below_every_norm_stalls(self):
+        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3, np.random.default_rng(35))
+        ball.radius = -1.0
+        with pytest.raises(EmptyRegionError):
+            ball.draws(5, np.random.default_rng(36))
 
     def test_wishart_single_draw_is_the_bartlett_product(self):
         law = GRAM_LAWS["wishart"]

@@ -91,9 +91,8 @@ class TestSampleRegion:
         cfg = RegionConfig(alpha=0.2, nsamples=100, seed=9)
         from dpms.mechanisms import _WishartBall
 
-        ball = _WishartBall(chain.law, cfg.alpha, np.random.default_rng(10),
-                            calibration_draws=4000)
-        inside = sum(ball.contains(ball.sample(np.random.default_rng(100 + i)))
+        ball = _WishartBall(chain.law, cfg.alpha, np.random.default_rng(10))
+        inside = sum(ball.contains(ball.draws(1, np.random.default_rng(100 + i))[0])
                      for i in range(20))
         assert inside == 20
         assert ball.radius > 0

@@ -14,7 +14,9 @@ calibrate, across every mechanism (Laplace, Wishart, analytic Gaussian,
 For every artifact the script prints ``identical`` or the largest
 absolute and relative difference over its numeric fields, then any
 non-numeric field that differs and any field or file present on one side
-only.  ``generated_at`` is ignored.  It reports; it applies no
+only.  For a CSV it also names the data rows that moved and, over those
+rows, the distinct values of each non-numeric column (``method: WM,
+WMT``).  ``generated_at`` is ignored.  It reports; it applies no
 tolerance.  The exit status is 1 when a command's exit code differs
 between the sides, 0 otherwise.
 """
@@ -29,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -182,10 +185,32 @@ def _leaves(path: Path) -> dict:
             for j, cell in enumerate(row)}
 
 
+def _spans(rows: list[int]) -> str:
+    """[1, 2, 3, 7] as '1-3, 7' (at most eight runs)."""
+    runs = [[i for _, i in run] for _, run in groupby(enumerate(rows), lambda t: t[1] - t[0])]
+    text = ", ".join(f"{r[0]}-{r[-1]}" if len(r) > 1 else f"{r[0]}" for r in runs[:8])
+    return text + (" ..." if len(runs) > 8 else "")
+
+
+def _moved_rows(path: Path, moved: list[str]) -> str:
+    """The data rows of a CSV that hold a moved cell (numbered from 1
+    after the header), then the distinct values of each non-numeric
+    column over those rows."""
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    idx = sorted({int(key[3:key.index("[")]) for key in moved} - {0})
+    parts = [f"rows moved: {len(idx)} of {len(rows)} ({_spans(idx)})"]
+    for j, name in enumerate(header):
+        cells = [rows[i - 1][j] for i in idx]
+        if cells and all(isinstance(_cell(c), str) for c in cells):
+            parts.append(f"{name}: {', '.join(sorted(set(cells)))}")
+    return "; ".join(parts)
+
+
 def compare_file(a: Path, b: Path) -> str:
     la, lb = _leaves(a), _leaves(b)
     max_abs = max_rel = 0.0
-    differ, numeric_differ = [], False
+    differ, numeric_differ = [], []
     for key in la.keys() & lb.keys():
         va, vb = la[key], lb[key]
         na, nb = _number(va), _number(vb)
@@ -195,13 +220,15 @@ def compare_file(a: Path, b: Path) -> str:
             continue
         if na == nb or (math.isnan(na) and math.isnan(nb)):
             continue
-        numeric_differ = True
+        numeric_differ.append(key)
         diff = abs(na - nb)
         max_abs = max(max_abs, diff)
         max_rel = max(max_rel, diff / max(abs(na), abs(nb)))
     parts = []
     if numeric_differ:
         parts.append(f"max abs diff {max_abs:.3g}, max rel diff {max_rel:.3g}")
+    if a.suffix == ".csv" and (numeric_differ or differ):
+        parts.append(_moved_rows(a, numeric_differ + differ))
     if differ:
         parts.append("non-numeric fields differ: " + ", ".join(sorted(differ)[:8])
                      + (" ..." if len(differ) > 8 else ""))
