@@ -24,7 +24,7 @@ print(f"{'M':>3} {'delta':>6} {'calibrated cv':>14} {'type I @ 3.841':>15}")
 for M in (2, 5, 10):
     for delta in (0.05, 0.25, 0.5):
         cfg = NullSimConfig(M=M, bounds=bounds, budget=PrivacyBudget(1.0, delta),
-                            nsim=100_000, seed=7, df=1)
+                            nsim=100_000, df=1)
         null = simulate_null_lrt(cfg, child_rng(7, M))
         cv = critical_value(null, 0.05)
         fresh = simulate_null_lrt(cfg, child_rng(8, M)).sorted_samples
@@ -36,7 +36,7 @@ print("large M with large delta can even reject below it (more power).")
 
 # A p-value for one observed private statistic.
 cfg = NullSimConfig(M=5, bounds=bounds, budget=PrivacyBudget(1.0, 0.25),
-                    nsim=100_000, seed=7, df=1)
+                    nsim=100_000, df=1)
 null = simulate_null_lrt(cfg, child_rng(7, 99))
 observed = 5.2
 print(f"\nobserved 2 log Lambda* = {observed}: calibrated p = "

@@ -19,7 +19,6 @@ from dpms import (
     child_rng,
     enumerate_posterior,
     generate_sim_dataset,
-    oracle_chain,
     pd_repair,
     privatize_gram,
     reparametrize,
@@ -38,7 +37,7 @@ gram = build_gram(centered)
 stat = GPriorSpec.sample_size()
 sens = Sensitivity(l1=0.5, l2=0.5 * np.sqrt(p + 1))
 
-oracle = enumerate_posterior(pd_repair(oracle_chain(gram), rng, r=0.0), stat)
+oracle = enumerate_posterior(pd_repair(gram, rng, r=0.0).g, stat, n=n)
 print("\noracle inclusion:", np.round(oracle.inclusion, 3))
 
 for label, threshold in (("Laplace + ridge", False),
@@ -47,15 +46,15 @@ for label, threshold in (("Laplace + ridge", False),
     if threshold:
         chain = threshold_offdiagonal(chain, 99.0, child_rng(11, 2))
     chain = pd_repair(chain, child_rng(11, 3))
-    post = enumerate_posterior(chain, stat)
+    post = enumerate_posterior(chain.g, stat, n=n)
     print(f"{label:28s} inclusion: {np.round(post.inclusion, 3)}  "
           f"(r={chain.r:.1f}, e_lambda={chain.e_lambda:.1f})")
 
 # Synthetic-dataset workflow: rows with exactly the released Gram matrix.
 chain = pd_repair(privatize_gram(gram, PrivacyBudget(1.0), sens, child_rng(11, 4)),
                   child_rng(11, 5))
-d_star = synthetic_dataset(chain.released, n, child_rng(11, 6))
-post_direct = enumerate_posterior(chain, stat)
+d_star = synthetic_dataset(chain.g, n, child_rng(11, 6))
+post_direct = enumerate_posterior(chain.g, stat, n=n)
 post_synth = enumerate_posterior(d_star.T @ d_star, stat, n=n)
 gap = np.abs(post_direct.posterior - post_synth.posterior).max()
 print(f"\nsynthetic rows reproduce the released-Gram posterior to {gap:.1e}")

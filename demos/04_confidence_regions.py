@@ -36,7 +36,7 @@ stat = GPriorSpec.sample_size()
 oracle = enumerate_posterior(gram.g, stat, n=n)
 
 chain = privatize_gram(gram, PrivacyBudget(1.0), Sensitivity(l1=0.5), child_rng(21, 1))
-cfg = RegionConfig(alpha=0.05, nsamples=1000, seed=21)
+cfg = RegionConfig(alpha=0.05, nsamples=1000)
 samples = sample_region(chain, cfg, child_rng(21, 2))
 print(f"candidates kept: {len(samples.candidates)}, "
       f"rejected non-PD: {samples.rejected_non_pd}")

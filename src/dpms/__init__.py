@@ -25,13 +25,11 @@ from .datagen import SimStudyConfig, generate_sim_dataset, rescale_to_unit_box
 from .errors import ConfigError, DataError, DpmsError, NumericError
 from .gram import (
     GramChain,
-    GramMatrix,
     ModelPosterior,
     build_gram,
     enumerate_posterior,
     model_averaged_beta,
     model_prior_log,
-    oracle_chain,
     pd_repair,
     privatize_gram,
     r2_gamma,

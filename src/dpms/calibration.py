@@ -54,7 +54,6 @@ class NullSimConfig:
     bounds: CensorBounds
     budget: PrivacyBudget
     nsim: int = 100_000
-    seed: int = 0
     df: int | None = None
     subset_sizes: tuple[int, ...] | None = None
 
@@ -82,7 +81,7 @@ class EmpiricalNull:
 
 
 def simulate_null_lrt(
-    cfg: NullSimConfig, rng: np.random.Generator | None = None, *, with_noise: bool = True
+    cfg: NullSimConfig, rng: np.random.Generator, *, with_noise: bool = True
 ) -> EmpiricalNull:
     """Null distribution of the censored private statistic 2 log Lambda*.
 
@@ -93,7 +92,6 @@ def simulate_null_lrt(
     """
     if cfg.df is None:
         raise ConfigError("simulate_null_lrt requires df in the configuration")
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     log_lambda = 0.5 * rng.chisquare(cfg.df, size=(cfg.nsim, cfg.M))
     released = release_means(log_lambda, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
     # Doubling is exact, so 2 clip(a, L, U) is bitwise clip(2a, 2L, 2U).
@@ -118,7 +116,7 @@ def simulate_null_bf(
     stat: GPriorSpec | InfoCriterionSpec,
     p: int,
     p0: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     with_noise: bool = True,
 ) -> EmpiricalNull:
@@ -134,7 +132,6 @@ def simulate_null_bf(
         raise ConfigError("simulate_null_bf requires subset_sizes in the configuration")
     if min(cfg.subset_sizes) <= p + p0:
         raise ConfigError("every subset size must exceed p + p0")
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     cols = np.empty((cfg.nsim, cfg.M))
     for i, b in enumerate(cfg.subset_sizes):
         r2 = rng.beta(0.5 * p, 0.5 * (b - p - p0), size=cfg.nsim)
@@ -147,14 +144,13 @@ def simulate_null_bf(
 
 
 def simulate_null_pvalue(
-    cfg: NullSimConfig, rng: np.random.Generator | None = None, *, with_noise: bool = True
+    cfg: NullSimConfig, rng: np.random.Generator, *, with_noise: bool = True
 ) -> EmpiricalNull:
     """Null distribution of aggregated private p-values.
 
     Per-subset p-values are Uniform(0, 1) under the null and are censored
     on their own scale.
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     u = rng.uniform(size=(cfg.nsim, cfg.M))
     released = release_means(u, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
     return EmpiricalNull(np.sort(censor(released, cfg.bounds)), "pvalue")

@@ -36,7 +36,7 @@ from .calibration import (
 )
 from .datagen import SimStudyConfig
 from .errors import ConfigError, DataError, DpmsError, NumericError
-from .gram import build_gram, oracle_chain, pd_repair, privatize_gram, threshold_offdiagonal
+from .gram import build_gram, pd_repair, privatize_gram, threshold_offdiagonal
 from .harness import mse_study_cell
 from .io import ingest_csv, posterior_csv_rows, write_csv, write_json_record
 from .linmodel import GPriorSpec, InfoCriterionSpec, reparametrize
@@ -268,11 +268,10 @@ def _cmd_test(cfg: dict, out: Path) -> None:
 
 
 def _cmd_calibrate(cfg: dict, out: Path) -> None:
-    statistic, seed = cfg["statistic"], cfg["seed"]
+    statistic = cfg["statistic"]
     null_cfg = partial(NullSimConfig, M=cfg["M"], bounds=_bounds(cfg),
-                       budget=PrivacyBudget(cfg["epsilon"], cfg["delta"]),
-                       nsim=cfg["nsim"], seed=seed)
-    rng = child_rng(seed, 1)
+                       budget=PrivacyBudget(cfg["epsilon"], cfg["delta"]), nsim=cfg["nsim"])
+    rng = child_rng(cfg["seed"], 1)
     if statistic == "lrt":
         null = simulate_null_lrt(null_cfg(df=cfg["df"]), rng)
     elif statistic == "bf":
@@ -304,14 +303,12 @@ def _release_gram(cfg: dict):
         raise ConfigError(f"{cfg['command']} requires --epsilon unless --no-noise is set")
     data = ingest_csv(cfg["input"], cfg["response"], (), _columns(cfg["x"]),
                       warn_unit_box=True)
-    gram = build_gram(reparametrize(data))
+    chain = build_gram(reparametrize(data))
     rng = child_rng(cfg["seed"], 1)
-    if cfg["no_noise"]:
-        chain = oracle_chain(gram)
-    else:
+    if not cfg["no_noise"]:
         budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
         sens = Sensitivity(l1=cfg["data_entry_bound"], l2=cfg["row_norm_bound"])
-        chain = privatize_gram(gram, budget, sens, rng)
+        chain = privatize_gram(chain, budget, sens, rng)
     return data, chain, rng
 
 
@@ -322,7 +319,7 @@ def _cmd_select(cfg: dict, out: Path) -> None:
     if cfg["threshold"]:
         chain = threshold_offdiagonal(chain, cfg["lambda_pct"], rng)
     chain = pd_repair(chain, rng, r=cfg["r_fixed"])
-    post = enumerate_posterior(chain, _stat(cfg), cfg["model_prior"])
+    post = enumerate_posterior(chain.g, _stat(cfg), cfg["model_prior"], n=chain.n)
     budget = chain.law.budget
     write_csv(out / "posterior.csv", ["model", "log_marginal", "posterior"],
               posterior_csv_rows(post))
@@ -343,7 +340,7 @@ def _cmd_select(cfg: dict, out: Path) -> None:
     }
     write_json_record(out / "selection.json", summary)
     if cfg["synthetic_n"]:
-        d_star = synthetic_dataset(chain.released, cfg["synthetic_n"], rng)
+        d_star = synthetic_dataset(chain.g, cfg["synthetic_n"], rng)
         header = [f"v{j + 1}" for j in range(data.p)] + ["z"]
         write_csv(out / "synthetic.csv", header,
                   [[repr(float(v)) for v in row] for row in d_star])
@@ -364,7 +361,7 @@ def _cmd_region(cfg: dict, out: Path) -> None:
     # The region reads only G* and its law, so the release is not repaired.
     data, chain, rng = _release_gram(cfg)
     functional = _parse_functional(cfg["functional"], data.p)
-    region_cfg = RegionConfig(alpha=cfg["alpha"], nsamples=cfg["nsamples"], seed=cfg["seed"])
+    region_cfg = RegionConfig(alpha=cfg["alpha"], nsamples=cfg["nsamples"])
     samples = sample_region(chain, region_cfg, rng)
     hist = map_functional(samples, functional, _stat(cfg), cfg["model_prior"])
     write_csv(

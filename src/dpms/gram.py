@@ -2,11 +2,14 @@
 
 The Gram matrix of the centered design-and-response stack is a sufficient
 summary for every submodel's R^2, so privatizing it once (Laplace entries
-or a centered Wishart draw) privatizes the whole model space.  Hard
+or a centered Wishart draw) privatizes the whole model space.  One record,
+:class:`GramChain`, carries the release: :func:`build_gram` gives the
+zero-noise release (G* = G), :func:`privatize_gram` adds the error.  Hard
 thresholding of small off-diagonal entries and a ridge-style diagonal
 shift repair the damage the noise does to sparsity and positive
-definiteness; full enumeration over the 2^p models then yields posterior
-probabilities, inclusion probabilities, and model-averaged coefficients.
+definiteness in the chain's working matrix; full enumeration over the 2^p
+models then yields posterior probabilities, inclusion probabilities, and
+model-averaged coefficients.
 """
 
 from __future__ import annotations
@@ -40,11 +43,9 @@ from .linmodel import log_bayes_factor, log_info_criterion, zs_shrinkage  # noqa
 from .mechanisms import laplace_gram_error, wishart_gram_error  # noqa: F401
 
 __all__ = [
-    "GramMatrix",
     "GramChain",
     "ModelPosterior",
     "build_gram",
-    "oracle_chain",
     "privatize_gram",
     "threshold_offdiagonal",
     "pd_repair",
@@ -57,85 +58,72 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-ENUMERATION_GUARD = 25
+ENUMERATION_GUARD = 20
 # Largest temporary of a batched enumeration pass, in float64 entries (2 MB).
 STACK_FLOATS = 1 << 18
+# Mechanism draws behind the auto repair's 99th-percentile shift.
+REPAIR_DRAWS = 1000
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Exact Gram matrix G = D'D for the stack D = [V; Z]."""
+class GramChain:
+    """One Gram release and the matrix post-processing makes of it.
 
+    ``g_star`` is the release G* = G + E of the stack D = [V; Z] (G
+    itself under :class:`ZeroGramLaw`); confidence regions read it and
+    the error law ``law``.  ``g`` is the working matrix: G* until
+    :func:`threshold_offdiagonal` and :func:`pd_repair` replace it, and
+    the matrix that enumeration and synthetic rows use.  ``e_lambda`` and
+    ``r`` record the threshold and the repair shift.
+    """
+
+    g_star: np.ndarray
     g: np.ndarray
     n: int
-    p: int
+    law: LaplaceGramLaw | WishartGramLaw | ZeroGramLaw
+    e_lambda: float = 0.0
+    r: float | None = None
+
+    @property
+    def p(self) -> int:
+        return self.g.shape[0] - 1
 
 
-def build_gram(c: CenteredData) -> GramMatrix:
-    """Assemble the (p+1) x (p+1) Gram matrix from centered data."""
+def build_gram(c: CenteredData) -> GramChain:
+    """The zero-noise release of centered data: G = D'D for D = [V; Z],
+    (p+1) x (p+1), as G* under :class:`ZeroGramLaw` (the epsilon ->
+    infinity oracle)."""
     zz = float(c.z @ c.z)
     if zz <= 0.0:
         raise DegenerateResponseError("centered response has zero sum of squares")
     d = np.column_stack([c.v, c.z])
     g = d.T @ d
     g = 0.5 * (g + g.T)
-    return GramMatrix(g=g, n=c.n, p=c.p)
-
-
-@dataclass(frozen=True)
-class GramChain:
-    """The released-Gram processing chain G* -> G** -> G**_r.
-
-    Stages are filled progressively by :func:`privatize_gram`,
-    :func:`threshold_offdiagonal`, and :func:`pd_repair`; the error law
-    stays attached so downstream steps (thresholds, repair draws,
-    confidence regions) can sample and invert it.
-    """
-
-    g_star: np.ndarray
-    n: int
-    p: int
-    law: LaplaceGramLaw | WishartGramLaw | ZeroGramLaw
-    g_thresh: np.ndarray | None = None
-    g_reg: np.ndarray | None = None
-    e_lambda: float = 0.0
-    lambda_pct: float | None = None
-    r: float | None = None
-
-    @property
-    def released(self) -> np.ndarray:
-        """The most processed matrix available (G**_r once repaired)."""
-        if self.g_reg is not None:
-            return self.g_reg
-        if self.g_thresh is not None:
-            return self.g_thresh
-        return self.g_star
-
-    def _pre_repair(self) -> np.ndarray:
-        return self.g_star if self.g_thresh is None else self.g_thresh
-
-
-def oracle_chain(gram: GramMatrix) -> GramChain:
-    """Zero-noise chain: G* = G exactly (the epsilon -> infinity hook)."""
-    return GramChain(g_star=gram.g.copy(), n=gram.n, p=gram.p, law=ZeroGramLaw(gram.p))
+    return GramChain(g_star=g, g=g, n=c.n, law=ZeroGramLaw(c.p))
 
 
 def privatize_gram(
-    gram: GramMatrix,
+    chain: GramChain,
     budget: PrivacyBudget,
     sens: Sensitivity,
     rng: np.random.Generator,
 ) -> GramChain:
-    """Release G* = G + E under the error law the budget selects
-    (:func:`dpms.mechanisms.gram_law`)."""
-    law = gram_law(gram.p, budget, sens)
-    return GramChain(g_star=gram.g + law.sample(rng), n=gram.n, p=gram.p, law=law)
+    """Release G* = G + E from the zero-noise chain of :func:`build_gram`,
+    under the error law the budget selects
+    (:func:`dpms.mechanisms.gram_law`).  A chain that already carries
+    noise is a ``ConfigError``."""
+    if not isinstance(chain.law, ZeroGramLaw):
+        raise ConfigError(f"the chain already carries {chain.law.name} noise")
+    law = gram_law(chain.p, budget, sens)
+    g_star = chain.g_star + law.sample(rng)
+    return GramChain(g_star=g_star, g=g_star, n=chain.n, law=law)
 
 
 def threshold_offdiagonal(
     chain: GramChain, lambda_pct: float, rng: np.random.Generator
 ) -> GramChain:
-    """Zero out off-diagonal entries of G* smaller than the noise quantile.
+    """Zero out off-diagonal entries of the working matrix smaller than
+    the noise quantile.
 
     The threshold e_lambda is the lambda-th percentile of |E_ij| (closed
     form for Laplace; a seeded Monte-Carlo percentile for Wishart).  An
@@ -144,10 +132,10 @@ def threshold_offdiagonal(
     if not 0.0 < lambda_pct < 100.0:
         raise ConfigError(f"lambda percentile must lie in (0, 100), got {lambda_pct}")
     e_lambda = chain.law.offdiag_abs_quantile(lambda_pct / 100.0, rng)
-    g = chain.g_star.copy()
+    g = chain.g.copy()
     off = ~np.eye(g.shape[0], dtype=bool)
     g[off & (np.abs(g) < e_lambda)] = 0.0
-    return replace(chain, g_thresh=g, e_lambda=float(e_lambda), lambda_pct=float(lambda_pct))
+    return replace(chain, g=g, e_lambda=float(e_lambda))
 
 
 def _min_eig(m: np.ndarray) -> float:
@@ -165,19 +153,19 @@ def pd_repair(
     rng: np.random.Generator,
     *,
     r: float | None = None,
-    n_draws: int = 1000,
 ) -> GramChain:
-    """Add r I to restore positive definiteness after noise/thresholding.
+    """Add r I to the working matrix to restore positive definiteness
+    after noise/thresholding.
 
     With ``r=None`` (auto policy), r is the 99th percentile of
-    -lambda_min(E) over ``n_draws`` seeded mechanism draws; if the result
-    is still not positive definite, r escalates to 3 |lambda_min| of the
-    thresholded matrix.  A fixed r skips the simulation.
+    -lambda_min(E) over ``REPAIR_DRAWS`` seeded mechanism draws; if the
+    result is still not positive definite, r escalates to 3 |lambda_min|
+    of the unrepaired matrix.  A fixed r skips the simulation.
     """
-    base = chain._pre_repair()
+    base = chain.g
     if r is None:
         mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0]
-                               for e in draw_chunks(chain.law, n_draws, rng)])
+                               for e in draw_chunks(chain.law, REPAIR_DRAWS, rng)])
         r = float(np.quantile(np.maximum(-mins, 0.0), 0.99))
         candidate = base + r * np.eye(base.shape[0])
         if _min_eig(candidate) <= 0.0:
@@ -192,7 +180,7 @@ def pd_repair(
             "matrix is not positive definite after repair",
             {"r": r, "min_eigenvalue": w_min},
         )
-    return replace(chain, g_reg=candidate, r=r)
+    return replace(chain, g=candidate, r=r)
 
 
 def synthetic_dataset(g_reg: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -260,14 +248,15 @@ def _fit(gs: np.ndarray, idx: np.ndarray):
     return coef, r2, clamps
 
 
-def _submodels(gs: np.ndarray, n: int, stat: GPriorSpec | InfoCriterionSpec, p0: int):
+def _submodels(gs: np.ndarray, n: int, stat: GPriorSpec | InfoCriterionSpec):
     """Every nonempty submodel of every matrix in the stack gs (S, m, m).
 
     Size class by size class, in chunks whose (S, C, k, k) block stack
     stays within STACK_FLOATS, yields ``(idx, coef, log_stat, shrink,
     clamps)``: the predictor indices (C, k), the coefficient blocks
     (S, C, k), the log statistic and shrinkage (S, C) of :func:`log_stat`,
-    and the per-matrix clamp counts of :func:`_fit`.
+    and the per-matrix clamp counts of :func:`_fit`.  The common block is
+    the intercept alone (p0 = 1), as centering makes it.
     """
     s, m, _ = gs.shape
     p = m - 1
@@ -277,7 +266,7 @@ def _submodels(gs: np.ndarray, n: int, stat: GPriorSpec | InfoCriterionSpec, p0:
         while chunk := list(itertools.islice(combos, step)):
             idx = np.array(chunk)
             coef, r2, clamps = _fit(gs, idx)
-            yield (idx, coef, *log_stat(r2, n, k, p0, stat), clamps)
+            yield (idx, coef, *log_stat(r2, n, k, 1, stat), clamps)
 
 
 def _gammas(idx: np.ndarray) -> np.ndarray:
@@ -342,29 +331,23 @@ class ModelPosterior:
 
 
 def enumerate_posterior(
-    source: GramChain | np.ndarray,
+    g: np.ndarray,
     stat: GPriorSpec | InfoCriterionSpec,
     prior_kind: str = "hierarchical",
-    n: int | None = None,
-    p0: int = 1,
+    *,
+    n: int,
 ) -> ModelPosterior:
     """Posterior over all 2^p models from a released Gram matrix.
 
-    ``source`` is a repaired GramChain (preferred: the chain carries n),
-    a bare positive-definite matrix plus explicit n, or a stack (S, m, m)
-    of such matrices plus n.  Log marginals are prior + log Bayes factor
+    ``g`` is a positive-definite matrix (a repaired chain's ``g``) or a
+    stack (S, m, m) of such matrices; ``n`` is the row count of the data
+    behind them.  Log marginals are prior + log Bayes factor
     (or log information criterion) and are normalized by log-sum-exp.
     One pass over the size classes gives every model's log marginal and
     coefficient block; the model-averaged coefficients accumulate along
     the way, rescaled whenever the running maximum log marginal grows.
     """
-    if isinstance(source, GramChain):
-        g = source.released
-        n = source.n if n is None else n
-    else:
-        g = np.asarray(source, dtype=float)
-        if n is None:
-            raise ConfigError("enumerate_posterior needs n when given a bare matrix")
+    g = np.asarray(g, dtype=float)
     p = g.shape[-1] - 1
     if p > ENUMERATION_GUARD:
         raise ConfigError(
@@ -377,7 +360,7 @@ def enumerate_posterior(
     shift = log_marg[:, 0].copy()
     beta = np.zeros((gs.shape[0], p))
     clamps = np.zeros(gs.shape[0], dtype=int)
-    for idx, coef, lstat, shrink, bad in _submodels(gs, n, stat, p0):
+    for idx, coef, lstat, shrink, bad in _submodels(gs, n, stat):
         lm = model_prior_log((1 << idx.shape[1]) - 1, p, prior_kind) + lstat
         log_marg[:, _gammas(idx)] = lm
         top = np.maximum(shift, lm.max(axis=1))
@@ -406,7 +389,6 @@ def model_averaged_beta(
     posterior: ModelPosterior,
     g_reg: np.ndarray,
     stat: GPriorSpec | InfoCriterionSpec,
-    p0: int = 1,
 ) -> np.ndarray:
     """Posterior-weighted coefficient estimate across all models.
 
@@ -418,7 +400,7 @@ def model_averaged_beta(
     """
     beta = np.zeros((1, posterior.p))
     gs = np.asarray(g_reg, dtype=float)[None]
-    for idx, coef, _, shrink, _ in _submodels(gs, posterior.n, stat, p0):
+    for idx, coef, _, shrink, _ in _submodels(gs, posterior.n, stat):
         weights = posterior.posterior[_gammas(idx)] * shrink
         _add_to_columns(beta, idx, weights[..., None] * coef)
     return beta[0]

@@ -14,12 +14,11 @@ import numpy as np
 
 from .datagen import SimStudyConfig, generate_sim_dataset
 from .gram import (
-    GramMatrix,
+    GramChain,
     ModelPosterior,
     _fit,
     build_gram,
     enumerate_posterior,
-    oracle_chain,
     pd_repair,
     privatize_gram,
     threshold_offdiagonal,
@@ -107,9 +106,8 @@ def _bounded_dataset_fixed_beta(
 
 
 def _dataset_posteriors(
-    gram: GramMatrix,
+    oracle: GramChain,
     stat: GPriorSpec | InfoCriterionSpec,
-    prior_kind: str,
     methods: tuple[str, ...],
     epsilon: float,
     delta_wishart: float,
@@ -117,45 +115,39 @@ def _dataset_posteriors(
     lambda_pct: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, ModelPosterior]:
-    """The released matrices of one dataset, stacked, and their posteriors.
+    """The released matrices of one dataset, stacked, and their posteriors
+    under the hierarchical model prior.
 
-    The zero-noise oracle chain comes first, then each method's chain, in
-    the order given and drawn from ``rng`` in that order: Laplace (LM,
-    LMT) or Wishart (WM, WMT) noise, a hard threshold for the T variants,
-    and the auto repair.  One enumeration scores the whole stack.
+    The zero-noise chain of :func:`build_gram` comes first, then each
+    method's chain, in the order given and drawn from ``rng`` in that
+    order: Laplace (LM, LMT) or Wishart (WM, WMT) noise, a hard threshold
+    for the T variants, and the auto repair.  One enumeration scores the
+    whole stack.
     """
-    chains = [pd_repair(oracle_chain(gram), rng, r=0.0)]
+    chains = [pd_repair(oracle, rng, r=0.0)]
     for method in methods:
         delta = 0.0 if method in ("LM", "LMT") else delta_wishart
-        chain = privatize_gram(gram, PrivacyBudget(epsilon, delta), sens, rng)
+        chain = privatize_gram(oracle, PrivacyBudget(epsilon, delta), sens, rng)
         if method.endswith("T"):
             chain = threshold_offdiagonal(chain, lambda_pct, rng)
         chains.append(pd_repair(chain, rng))
-    gs = np.stack([chain.released for chain in chains])
-    return gs, enumerate_posterior(gs, stat, prior_kind, n=gram.n)
+    gs = np.stack([chain.g for chain in chains])
+    return gs, enumerate_posterior(gs, stat, n=oracle.n)
 
 
 def prop2_median_posteriors(
-    n: int,
-    n_seeds: int,
-    seed: int,
-    *,
-    p: int = 5,
-    n_active: int = 2,
-    snr: float = 1.0,
-    epsilon: float = 1.0,
-    lambda_pct: float = 99.0,
-    stat: GPriorSpec | InfoCriterionSpec | None = None,
-    beta_magnitude: float,
+    n: int, n_seeds: int, seed: int, *, beta_magnitude: float
 ) -> tuple[float, float]:
     """Median posterior mass of the true model: (private, oracle).
 
-    Per seed, one bounded dataset whose active coefficients have the
-    fixed absolute value ``beta_magnitude`` (random signs) is generated,
-    scored by the zero-noise oracle chain and by the thresholded Laplace
-    chain at the given epsilon; the medians over seeds are returned.
+    Per seed, one bounded dataset with p = 5 predictors, two of them
+    active with the fixed absolute value ``beta_magnitude`` (random
+    signs), and SNR 1 is generated, then scored under BIC by the
+    zero-noise chain and by the Laplace chain at epsilon = 1 thresholded
+    at the 99th percentile; the medians over seeds are returned.
     """
-    stat = InfoCriterionSpec.bic() if stat is None else stat
+    p, n_active, snr, epsilon, lambda_pct = 5, 2, 1.0, 1.0, 99.0
+    stat = InfoCriterionSpec.bic()
     sens = Sensitivity(l1=0.5, l2=0.5 * math.sqrt(p + 1))
     post_dp = np.empty(n_seeds)
     post_oracle = np.empty(n_seeds)
@@ -163,8 +155,8 @@ def prop2_median_posteriors(
         rng = child_rng(seed, s)
         data, beta = _bounded_dataset_fixed_beta(p, n, snr, n_active, beta_magnitude, rng)
         gamma_true = sum(1 << j for j in range(p) if beta[j] != 0.0)
-        _, post = _dataset_posteriors(build_gram(reparametrize(data)), stat, "hierarchical",
-                                      ("LMT",), epsilon, 0.0, sens, lambda_pct, rng)
+        _, post = _dataset_posteriors(build_gram(reparametrize(data)), stat, ("LMT",),
+                                      epsilon, 0.0, sens, lambda_pct, rng)
         post_oracle[s], post_dp[s] = post.posterior[:, gamma_true]
     return float(np.median(post_dp)), float(np.median(post_oracle))
 
@@ -189,16 +181,15 @@ def mse_study_cell(
     *,
     delta_wishart: float = math.exp(-10.0),
     stat: GPriorSpec | InfoCriterionSpec | None = None,
-    prior_kind: str = "hierarchical",
     lambda_pct: float = 99.0,
-    methods: tuple[str, ...] = DP_METHODS,
 ) -> list[SimRecord]:
     """All replications of one (snr, epsilon) cell of the study.
 
-    Every replication scores the oracle plus each requested mechanism
-    variant on: prediction MSE of the model-averaged fit, MSE of the
-    full-model fit, their relative improvement, and the normalized L2
-    distance of inclusion probabilities from the oracle's.
+    Every replication scores the oracle plus each mechanism variant of
+    ``DP_METHODS``, under the hierarchical model prior, on: prediction
+    MSE of the model-averaged fit, MSE of the full-model fit, their
+    relative improvement, and the normalized L2 distance of inclusion
+    probabilities from the oracle's.
     """
     stat = GPriorSpec.zellner_siow() if stat is None else stat
     sens = Sensitivity(l1=0.5, l2=0.5 * math.sqrt(cfg.p + 1))
@@ -212,12 +203,12 @@ def mse_study_cell(
         )
         centered = reparametrize(data)
         v, v_beta = centered.v, centered.v @ beta
-        gs, post = _dataset_posteriors(build_gram(centered), stat, prior_kind, methods,
+        gs, post = _dataset_posteriors(build_gram(centered), stat, DP_METHODS,
                                        epsilon, delta_wishart, sens, lambda_pct, rng)
         # The all-predictors model of every released matrix, with its shrinkage.
         coef, r2, _ = _fit(gs, np.arange(cfg.p)[None])
         beta_full = log_stat(r2, cfg.n, cfg.p, 1, stat)[1] * coef[:, 0]
-        for i, method in enumerate(("O", *methods)):
+        for i, method in enumerate(("O", *DP_METHODS)):
             mse = float(np.mean((v_beta - v @ post.beta_avg[i]) ** 2))
             mse_full = float(np.mean((v_beta - v @ beta_full[i]) ** 2))
             rel = (mse_full - mse) / mse_full if mse_full > 0 else 0.0

@@ -80,9 +80,6 @@ class RegressionData:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def subset(self, rows: np.ndarray) -> "RegressionData":
-        return RegressionData(self.y[rows], self.x0[rows], self.x[rows])
-
 
 @dataclass
 class CenteredData:

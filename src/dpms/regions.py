@@ -1,13 +1,14 @@
 """Monte-Carlo confidence regions for the Gram matrix and its summaries.
 
-The released statistic is G*_r = G + E + r I with a fully known error
-law, so a (1-alpha) region for G is obtained by sampling the law's
-central (1-alpha) set of errors (see :mod:`dpms.mechanisms`),
-subtracting the draws and intersecting with the positive-definite cone.
-Pushing every surviving candidate through the model-enumeration map
-yields a histogram over any scalar summary (inclusion probability,
-posterior mean coefficient); its exact mean is the histogram-mean
-estimator.
+A :class:`dpms.gram.GramChain` keeps the release G* = G + E with its
+fully known error law, so a (1-alpha) region for G is obtained by
+sampling the law's central (1-alpha) set of errors (see
+:mod:`dpms.mechanisms`), subtracting the draws from G* and intersecting
+with the positive-definite cone.  The chain's post-processed matrix
+(thresholded, repaired) plays no part.  Pushing every surviving
+candidate through the model-enumeration map yields a histogram over any
+scalar summary (inclusion probability, posterior mean coefficient); its
+exact mean is the histogram-mean estimator.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "region_contains",
     "map_functional",
 ]
+
+HIST_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class Functional:
 class RegionConfig:
     alpha: float
     nsamples: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -81,10 +83,9 @@ def sample_region(
     """Draw candidate Gram matrices from the confidence region.
 
     Error draws E_s restricted to the law's central (1-alpha) set give
-    candidates G_s = G* - E_s (the r I offset of the released statistic
-    cancels); candidates outside the positive-definite cone are dropped
-    and counted.  Without noise the set is one point, so the release
-    itself is the only candidate.
+    candidates G_s = G* - E_s; candidates outside the positive-definite
+    cone are dropped and counted.  Without noise the set is one point, so
+    the release itself is the only candidate.
     """
     acc = chain.law.central_set(cfg.alpha, rng)
     g = chain.g_star - acc.draws(cfg.nsamples, rng)
@@ -98,14 +99,13 @@ def sample_region(
 
 
 def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig,
-                    rng: np.random.Generator | None = None) -> bool:
+                    rng: np.random.Generator) -> bool:
     """Whether a matrix lies in the (1-alpha) region of the release.
 
     G is in the region iff the implied error G* - G falls in the central
     acceptance set (and G is positive definite, which holds for any true
     Gram matrix of a full-rank design).
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     acc = chain.law.central_set(cfg.alpha, rng)
     if np.linalg.eigvalsh(np.asarray(g_true))[0] <= 0.0:
         return False
@@ -129,14 +129,14 @@ def map_functional(
     functional: Functional,
     stat: GPriorSpec | InfoCriterionSpec,
     prior_kind: str = "hierarchical",
-    bins: int = 50,
 ) -> FunctionalHistogram:
     """Push the candidates through model enumeration, a stack at a time,
     and bin the summary.
 
-    Inclusion probabilities are binned on the fixed [0, 1] range; other
-    functionals use the observed range.  The reported mean is the exact
-    mean of the samples, not a binned approximation.
+    The summary falls into HIST_BINS bins: on the fixed [0, 1] range for
+    inclusion probabilities, on the observed range for other functionals.
+    The reported mean is the exact mean of the samples, not a binned
+    approximation.
     """
     stack = np.asarray(samples.candidates, dtype=float)
     if stack.shape[0] == 0:
@@ -150,12 +150,12 @@ def map_functional(
         for lo in range(0, stack.shape[0], step)
     ])
     if functional.kind == "inclusion":
-        edges = np.linspace(0.0, 1.0, bins + 1)
+        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
     else:
         lo, hi = float(values.min()), float(values.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, HIST_BINS + 1)
     counts, _ = np.histogram(values, bins=edges)
     return FunctionalHistogram(
         bin_edges=edges,

@@ -15,17 +15,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, RankError, SplitInfeasibleError
-from .linmodel import (
-    _RANK_RTOL,
-    GPriorSpec,
-    InfoCriterionSpec,
-    RegressionData,
-    log_stat,
-    r_squared,
-    reparametrize,
-)
+from .linmodel import _RANK_RTOL, GPriorSpec, InfoCriterionSpec, RegressionData, log_stat
 # Bound here because perfbench/tracing.py wraps them under dpms.split_aggregate.
-from .linmodel import log_bayes_factor, log_info_criterion  # noqa: F401
+from .linmodel import log_bayes_factor, log_info_criterion, r_squared, reparametrize  # noqa: F401
 from .mechanisms import NoiseScale, PrivacyBudget, subsample_noise_scale
 
 __all__ = [
@@ -197,19 +189,6 @@ def _r2_stack(x0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return r2, j, _UNUSABLE[int(failed[:, j].argmax())]
 
 
-def _subset_error(data: RegressionData, rows: np.ndarray, i: int, reason: str) -> RankError:
-    """The error for unusable subset i: the message of the per-subset
-    route (reparametrize, r_squared, the R^2 range check) where it raises,
-    else ``reason``."""
-    try:
-        r2 = r_squared(reparametrize(data.subset(rows)))
-        if r2 >= 1.0:
-            raise DataError(f"R^2 must lie in [0, 1), got {r2}")
-    except DataError as exc:  # RankError and DegenerateResponseError included
-        reason = str(exc)
-    return RankError(f"subset {i} of the split is unusable: {reason}")
-
-
 def per_subset_log_stats(
     data: RegressionData,
     plan: SplitPlan,
@@ -244,7 +223,7 @@ def per_subset_log_stats(
         out[idx] = log_stat(r2, int(b), data.p, data.p0, stat)[0]
     if reasons:
         i = min(reasons)
-        raise _subset_error(data, plan.rows(i), i, reasons[i])
+        raise RankError(f"subset {i} of the split is unusable: {reasons[i]}")
     return out
 
 

@@ -49,8 +49,8 @@ class TestCriticalValue:
 
     def test_chi2_null_recovers_textbook_cutoff(self):
         cfg = NullSimConfig(M=1, bounds=WIDE, budget=PrivacyBudget(1.0),
-                            nsim=1_000_000, seed=10, df=1)
-        null = simulate_null_lrt(cfg, with_noise=False)
+                            nsim=1_000_000, df=1)
+        null = simulate_null_lrt(cfg, np.random.default_rng(10), with_noise=False)
         assert critical_value(null, 0.05) == pytest.approx(3.841, abs=0.05)
 
 
@@ -79,29 +79,28 @@ class TestSimulateNullLrt:
     def test_requires_df(self):
         cfg = NullSimConfig(M=2, bounds=WIDE, budget=PrivacyBudget(1.0), nsim=10)
         with pytest.raises(ConfigError):
-            simulate_null_lrt(cfg)
+            simulate_null_lrt(cfg, np.random.default_rng(0))
 
     def test_censoring_collapse(self):
         bounds = CensorBounds(0.0, 1e-9)
         cfg = NullSimConfig(M=5, bounds=bounds, budget=PrivacyBudget(1e6),
-                            nsim=2000, seed=3, df=1)
-        null = simulate_null_lrt(cfg)
+                            nsim=2000, df=1)
+        null = simulate_null_lrt(cfg, np.random.default_rng(3))
         assert np.all(np.abs(null.sorted_samples) < 1e-3)
 
     def test_reference_calibrated_cutoff_exceeds_uncalibrated(self):
         # Small M with a Gaussian error inflates the null, so the simulated
         # 0.05 cutoff must exceed the 3.841 chi-squared value.
         cfg = NullSimConfig(M=2, bounds=CensorBounds(0.0, 7.0),
-                            budget=PrivacyBudget(1.0, 0.25), nsim=100_000,
-                            seed=4, df=1)
-        null = simulate_null_lrt(cfg)
+                            budget=PrivacyBudget(1.0, 0.25), nsim=100_000, df=1)
+        null = simulate_null_lrt(cfg, np.random.default_rng(4))
         assert critical_value(null, 0.05) > 3.841
 
     def test_statistic_respects_doubled_bounds(self):
         bounds = CensorBounds(0.0, 7.0)
         cfg = NullSimConfig(M=3, bounds=bounds, budget=PrivacyBudget(0.5, 0.1),
-                            nsim=5000, seed=5, df=2)
-        null = simulate_null_lrt(cfg)
+                            nsim=5000, df=2)
+        null = simulate_null_lrt(cfg, np.random.default_rng(5))
         assert null.sorted_samples.min() >= 0.0
         assert null.sorted_samples.max() <= 14.0
 
@@ -116,9 +115,9 @@ class TestSimulateNullBf:
     def test_median_matches_transformed_beta_median(self):
         n = 120
         cfg = NullSimConfig(M=1, bounds=WIDE, budget=PrivacyBudget(1.0),
-                            nsim=200_000, seed=7, subset_sizes=(n,))
+                            nsim=200_000, subset_sizes=(n,))
         null = simulate_null_bf(cfg, InfoCriterionSpec.bic(), p=2, p0=1,
-                                with_noise=False)
+                                rng=np.random.default_rng(7), with_noise=False)
         beta_med = stats.beta.median(1.0, (n - 3) / 2.0)
         want = log_info_criterion(float(beta_med), n, 2, InfoCriterionSpec.bic())
         got = float(np.median(null.sorted_samples))
@@ -127,9 +126,9 @@ class TestSimulateNullBf:
     def test_degenerate_bounds_point_mass(self):
         bounds = CensorBounds(0.5, 0.5 + 1e-9)
         cfg = NullSimConfig(M=4, bounds=bounds, budget=PrivacyBudget(1.0),
-                            nsim=1000, seed=8, subset_sizes=(50, 50, 50, 50))
+                            nsim=1000, subset_sizes=(50, 50, 50, 50))
         null = simulate_null_bf(cfg, GPriorSpec.sample_size(), p=1, p0=1,
-                                with_noise=False)
+                                rng=np.random.default_rng(8), with_noise=False)
         np.testing.assert_allclose(null.sorted_samples, 0.5, atol=1e-8)
 
     def test_zellner_siow_interpolation_matches_direct(self):
@@ -144,29 +143,30 @@ class TestSimulateNullBf:
     def test_subset_sizes_required(self):
         cfg = NullSimConfig(M=2, bounds=WIDE, budget=PrivacyBudget(1.0), nsim=10)
         with pytest.raises(ConfigError):
-            simulate_null_bf(cfg, InfoCriterionSpec.bic(), p=1, p0=1)
+            simulate_null_bf(cfg, InfoCriterionSpec.bic(), p=1, p0=1,
+                             rng=np.random.default_rng(0))
 
 
 class TestSimulateNullPvalue:
     def test_identity_transform_is_uniform(self):
         cfg = NullSimConfig(M=1, bounds=CensorBounds(0.0, 1.0),
-                            budget=PrivacyBudget(1.0), nsim=1_000_000, seed=9)
-        null = simulate_null_pvalue(cfg, with_noise=False)
+                            budget=PrivacyBudget(1.0), nsim=1_000_000)
+        null = simulate_null_pvalue(cfg, np.random.default_rng(9), with_noise=False)
         ranks = np.arange(1, null.nsim + 1) / null.nsim
         assert np.max(np.abs(null.sorted_samples - ranks)) < 0.005
 
     def test_large_m_concentrates(self):
         cfg = NullSimConfig(M=400, bounds=CensorBounds(0.0, 1.0),
-                            budget=PrivacyBudget(1.0), nsim=5000, seed=10)
-        null = simulate_null_pvalue(cfg, with_noise=False)
+                            budget=PrivacyBudget(1.0), nsim=5000)
+        null = simulate_null_pvalue(cfg, np.random.default_rng(10), with_noise=False)
         assert null.sorted_samples.std() < 0.03
         assert null.sorted_samples.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_reproducible_given_seed(self):
         cfg = NullSimConfig(M=3, bounds=CensorBounds(0.0, 1.0),
-                            budget=PrivacyBudget(1.0), nsim=1000, seed=11)
-        a = simulate_null_pvalue(cfg)
-        b = simulate_null_pvalue(cfg)
+                            budget=PrivacyBudget(1.0), nsim=1000)
+        a = simulate_null_pvalue(cfg, np.random.default_rng(11))
+        b = simulate_null_pvalue(cfg, np.random.default_rng(11))
         assert np.array_equal(a.sorted_samples, b.sorted_samples)
 
 

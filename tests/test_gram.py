@@ -13,7 +13,6 @@ from dpms.gram import (
     enumerate_posterior,
     model_averaged_beta,
     model_prior_log,
-    oracle_chain,
     pd_repair,
     privatize_gram,
     r2_clamp_counter,
@@ -78,9 +77,16 @@ class TestBuildGram:
 
 class TestPrivatizeGram:
     def test_zero_noise_hook_is_exact(self):
-        gram = build_gram(toy_centered())
-        chain = oracle_chain(gram)
-        assert np.array_equal(chain.g_star, gram.g)
+        chain = build_gram(toy_centered())
+        assert isinstance(chain.law, ZeroGramLaw)
+        assert np.array_equal(chain.g_star, chain.g)
+
+    def test_noisy_chain_is_config_error(self):
+        chain = privatize_gram(build_gram(toy_centered()), PrivacyBudget(1.0),
+                               Sensitivity(l1=0.5), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="already carries laplace noise"):
+            privatize_gram(chain, PrivacyBudget(1.0), Sensitivity(l1=0.5),
+                           np.random.default_rng(1))
 
     def test_wishart_shift_is_psd_per_draw(self):
         gram = build_gram(toy_centered(p=2))
@@ -131,13 +137,13 @@ class TestThresholdOffdiagonal:
     def test_tiny_lambda_keeps_everything(self):
         _, chain = self._chain()
         out = threshold_offdiagonal(chain, 1e-9, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.g_thresh, chain.g_star)
+        np.testing.assert_array_equal(out.g, chain.g_star)
 
     def test_huge_threshold_leaves_diagonal(self):
         _, chain = self._chain(eps=1e6)  # nearly noiseless, small entries
         out = threshold_offdiagonal(chain, 99.9999999, np.random.default_rng(0))
-        off = out.g_thresh[~np.eye(out.g_thresh.shape[0], dtype=bool)]
-        diag_preserved = np.diag(out.g_thresh) == np.diag(chain.g_star)
+        off = out.g[~np.eye(out.g.shape[0], dtype=bool)]
+        diag_preserved = np.diag(out.g) == np.diag(chain.g_star)
         assert diag_preserved.all()
         assert out.e_lambda > 0
 
@@ -152,7 +158,7 @@ class TestThresholdOffdiagonal:
         counts = []
         for lam in (1.0, 50.0, 90.0, 99.0, 99.99):
             out = threshold_offdiagonal(chain, lam, np.random.default_rng(0))
-            off = out.g_thresh[~np.eye(out.g_thresh.shape[0], dtype=bool)]
+            off = out.g[~np.eye(out.g.shape[0], dtype=bool)]
             counts.append(int(np.count_nonzero(off)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -169,18 +175,18 @@ class TestThresholdOffdiagonal:
 class TestPdRepair:
     def test_fixed_zero_on_pd_matrix_is_identity(self):
         gram = build_gram(toy_centered())
-        chain = pd_repair(oracle_chain(gram), np.random.default_rng(0), r=0.0)
-        np.testing.assert_array_equal(chain.g_reg, gram.g)
+        chain = pd_repair(gram, np.random.default_rng(0), r=0.0)
+        np.testing.assert_array_equal(chain.g, gram.g)
 
     def test_eigenvalue_shift_identity(self):
         base = np.diag([-2.0, 5.0])
-        chain = GramChain(g_star=base, n=10, p=1, law=ZeroGramLaw(1))
+        chain = GramChain(g_star=base, g=base, n=10, law=ZeroGramLaw(1))
         out = pd_repair(chain, np.random.default_rng(0), r=3.0)
-        assert np.linalg.eigvalsh(out.g_reg)[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(out.g)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_r_that_fails_raises(self):
         base = np.diag([-2.0, 5.0])
-        chain = GramChain(g_star=base, n=10, p=1, law=ZeroGramLaw(1))
+        chain = GramChain(g_star=base, g=base, n=10, law=ZeroGramLaw(1))
         with pytest.raises(RepairFailureError):
             pd_repair(chain, np.random.default_rng(0), r=1.0)
 
@@ -189,21 +195,19 @@ class TestPdRepair:
         rng = np.random.default_rng(9)
         ok = 0
         for trial in range(1000):
-            chain = GramChain(g_star=g + 0.0, n=100, p=2,
-                              law=LaplaceGramLaw(2, 6.0, PrivacyBudget(1.0)))
-            noisy = chain.g_star + 6.0 * rng.laplace(size=(3, 3))
+            noisy = g + 6.0 * rng.laplace(size=(3, 3))
             noisy = 0.5 * (noisy + noisy.T)
-            chain = GramChain(g_star=noisy, n=100, p=2,
+            chain = GramChain(g_star=noisy, g=noisy, n=100,
                               law=LaplaceGramLaw(2, 6.0, PrivacyBudget(1.0)))
-            out = pd_repair(chain, rng, n_draws=200)
-            ok += np.linalg.eigvalsh(out.g_reg)[0] > 0
+            out = pd_repair(chain, rng)
+            ok += np.linalg.eigvalsh(out.g)[0] > 0
         assert ok == 1000
 
 
 class TestSyntheticDataset:
     def test_reproduces_gram_exactly(self):
         gram = build_gram(toy_centered(p=3))
-        g_reg = pd_repair(oracle_chain(gram), np.random.default_rng(0), r=0.0).g_reg
+        g_reg = pd_repair(gram, np.random.default_rng(0), r=0.0).g
         d_star = synthetic_dataset(g_reg, 80, np.random.default_rng(1))
         err = np.abs(d_star.T @ d_star - g_reg).max()
         assert err <= 1e-8 * np.abs(g_reg).max()
@@ -227,9 +231,9 @@ class TestSyntheticDataset:
         chain = privatize_gram(gram, PrivacyBudget(5.0), Sensitivity(l1=1.0),
                                np.random.default_rng(5))
         chain = pd_repair(chain, np.random.default_rng(6))
-        d_star = synthetic_dataset(chain.released, 100, np.random.default_rng(7))
+        d_star = synthetic_dataset(chain.g, 100, np.random.default_rng(7))
         stat = GPriorSpec.sample_size()
-        direct = enumerate_posterior(chain, stat)
+        direct = enumerate_posterior(chain.g, stat, n=chain.n)
         via_rows = enumerate_posterior(d_star.T @ d_star, stat, n=gram.n)
         np.testing.assert_allclose(via_rows.posterior, direct.posterior, atol=1e-8)
         np.testing.assert_allclose(via_rows.inclusion, direct.inclusion, atol=1e-8)
@@ -285,7 +289,7 @@ class TestModelPrior:
 class TestEnumeratePosterior:
     def test_posterior_normalizes(self):
         gram = build_gram(toy_centered(p=4, seed=14))
-        post = enumerate_posterior(oracle_chain(gram), GPriorSpec.sample_size())
+        post = enumerate_posterior(gram.g, GPriorSpec.sample_size(), n=gram.n)
         assert post.posterior.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all((post.inclusion >= 0) & (post.inclusion <= 1))
 
@@ -299,7 +303,7 @@ class TestEnumeratePosterior:
         c = toy_centered(p=1, seed=15)
         gram = build_gram(c)
         stat = GPriorSpec.fixed(50.0)
-        post = enumerate_posterior(oracle_chain(gram), stat, "uniform")
+        post = enumerate_posterior(gram.g, stat, "uniform", n=gram.n)
         r2 = r_squared(c)
         lb = log_bayes_factor(r2, c.n, 1, 1, stat)
         want_alt = 1.0 / (1.0 + math.exp(-lb))
@@ -313,9 +317,9 @@ class TestEnumeratePosterior:
         y = x @ beta + rng.standard_normal(n)
         data = RegressionData(y=y, x0=np.ones((n, 1)), x=x)
         c = reparametrize(data)
-        chain = pd_repair(oracle_chain(build_gram(c)), rng, r=0.0)
+        chain = pd_repair(build_gram(c), rng, r=0.0)
         stat = GPriorSpec.sample_size()
-        post = enumerate_posterior(chain, stat)
+        post = enumerate_posterior(chain.g, stat, n=chain.n)
 
         # Independent raw-data route: per-model least squares.
         logs = np.empty(1 << p)
@@ -334,8 +338,9 @@ class TestEnumeratePosterior:
         np.testing.assert_allclose(post.posterior, want, atol=1e-10)
 
     def test_enumeration_guard(self):
-        with pytest.raises(ConfigError, match="capped"):
-            enumerate_posterior(np.eye(28), InfoCriterionSpec.bic(), n=100)
+        for p in (27, 21):
+            with pytest.raises(ConfigError, match="capped"):
+                enumerate_posterior(np.eye(p + 1), InfoCriterionSpec.bic(), n=100)
 
 
 STATS = {
@@ -446,7 +451,7 @@ class TestBatchedEnumeration:
 class TestModelAveragedBeta:
     def test_mass_on_null_gives_zero_vector(self):
         gram = build_gram(toy_centered(p=2, seed=17))
-        post = enumerate_posterior(oracle_chain(gram), InfoCriterionSpec.bic())
+        post = enumerate_posterior(gram.g, InfoCriterionSpec.bic(), n=gram.n)
         forced = post.__class__(
             log_marginals=post.log_marginals,
             posterior=np.array([1.0, 0.0, 0.0, 0.0]),
@@ -461,7 +466,7 @@ class TestModelAveragedBeta:
         c = toy_centered(p=2, seed=18)
         gram = build_gram(c)
         g_val = 30.0
-        post = enumerate_posterior(oracle_chain(gram), GPriorSpec.fixed(g_val))
+        post = enumerate_posterior(gram.g, GPriorSpec.fixed(g_val), n=gram.n)
         forced = post.__class__(
             log_marginals=post.log_marginals,
             posterior=np.array([0.0, 0.0, 0.0, 1.0]),
@@ -476,7 +481,7 @@ class TestModelAveragedBeta:
         c = toy_centered(p=2, seed=19)
         gram = build_gram(c)
         stat = GPriorSpec.fixed(40.0)
-        post = enumerate_posterior(oracle_chain(gram), stat, "uniform")
+        post = enumerate_posterior(gram.g, stat, "uniform", n=gram.n)
         shrink = 40.0 / 41.0
         want = np.zeros(2)
         for gamma, idx in [(1, [0]), (2, [1]), (3, [0, 1])]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpms.errors import EmptyRegionError
-from dpms.gram import GramChain, build_gram, enumerate_posterior, oracle_chain, privatize_gram
+from dpms.gram import GramChain, build_gram, enumerate_posterior, privatize_gram
 from dpms.linmodel import (
     CenteredData,
     GPriorSpec,
@@ -40,15 +40,15 @@ def laplace_chain(gram, epsilon=1.0, seed=1):
 class TestSampleRegion:
     def test_zero_noise_single_exact_candidate(self):
         gram = toy_gram()
-        cfg = RegionConfig(alpha=0.05, nsamples=100, seed=0)
-        samples = sample_region(oracle_chain(gram), cfg, np.random.default_rng(0))
+        cfg = RegionConfig(alpha=0.05, nsamples=100)
+        samples = sample_region(gram, cfg, np.random.default_rng(0))
         assert len(samples.candidates) == 1
         np.testing.assert_array_equal(samples.candidates[0], gram.g)
 
     def test_deterministic_given_seed(self):
         gram = toy_gram()
         chain = laplace_chain(gram)
-        cfg = RegionConfig(alpha=0.05, nsamples=150, seed=3)
+        cfg = RegionConfig(alpha=0.05, nsamples=150)
         a = sample_region(chain, cfg, np.random.default_rng(7))
         b = sample_region(chain, cfg, np.random.default_rng(7))
         assert len(a.candidates) == len(b.candidates)
@@ -58,15 +58,15 @@ class TestSampleRegion:
     def test_all_candidates_positive_definite(self):
         gram = toy_gram()
         chain = laplace_chain(gram, epsilon=0.5)
-        cfg = RegionConfig(alpha=0.05, nsamples=200, seed=4)
+        cfg = RegionConfig(alpha=0.05, nsamples=200)
         samples = sample_region(chain, cfg, np.random.default_rng(4))
         for g in samples.candidates:
             assert np.linalg.eigvalsh(g)[0] > 0
 
     def test_empty_region_error(self):
-        chain = GramChain(g_star=-100.0 * np.eye(3), n=50, p=2,
-                          law=LaplaceGramLaw(2, 0.01, PrivacyBudget(1.0)))
-        cfg = RegionConfig(alpha=0.05, nsamples=100, seed=5)
+        g = -100.0 * np.eye(3)
+        chain = GramChain(g_star=g, g=g, n=50, law=LaplaceGramLaw(2, 0.01, PrivacyBudget(1.0)))
+        cfg = RegionConfig(alpha=0.05, nsamples=100)
         with pytest.raises(EmptyRegionError):
             sample_region(chain, cfg, np.random.default_rng(5))
 
@@ -74,12 +74,12 @@ class TestSampleRegion:
         # The realized error lands in the acceptance box with probability
         # exactly 1 - alpha, so membership over replications is binomial.
         gram = toy_gram(seed=8)
-        cfg = RegionConfig(alpha=0.10, nsamples=100, seed=8)
+        cfg = RegionConfig(alpha=0.10, nsamples=100)
         hits = 0
         reps = 400
         for i in range(reps):
             chain = laplace_chain(gram, seed=1000 + i)
-            hits += region_contains(chain, gram.g, cfg)
+            hits += region_contains(chain, gram.g, cfg, np.random.default_rng(8))
         phat = hits / reps
         se = np.sqrt(0.9 * 0.1 / reps)
         assert abs(phat - 0.9) <= 3 * se
@@ -88,7 +88,7 @@ class TestSampleRegion:
         gram = toy_gram(p=2, seed=9)
         chain = privatize_gram(gram, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9),
                                np.random.default_rng(9))
-        cfg = RegionConfig(alpha=0.2, nsamples=100, seed=9)
+        cfg = RegionConfig(alpha=0.2, nsamples=100)
         from dpms.mechanisms import _WishartBall
 
         ball = _WishartBall(chain.law, cfg.alpha, np.random.default_rng(10))
@@ -110,7 +110,7 @@ class TestMapFunctional:
     def test_inclusion_values_in_unit_interval(self):
         gram = toy_gram(p=2, seed=12)
         chain = laplace_chain(gram, seed=12)
-        cfg = RegionConfig(alpha=0.05, nsamples=120, seed=12)
+        cfg = RegionConfig(alpha=0.05, nsamples=120)
         samples = sample_region(chain, cfg, np.random.default_rng(12))
         hist = map_functional(samples, Functional.inclusion(1),
                               InfoCriterionSpec.bic())
@@ -120,8 +120,8 @@ class TestMapFunctional:
 
     def test_zero_noise_histogram_mean_equals_oracle(self):
         gram = toy_gram(p=2, seed=13)
-        cfg = RegionConfig(alpha=0.05, nsamples=100, seed=13)
-        samples = sample_region(oracle_chain(gram), cfg, np.random.default_rng(13))
+        cfg = RegionConfig(alpha=0.05, nsamples=100)
+        samples = sample_region(gram, cfg, np.random.default_rng(13))
         stat = GPriorSpec.sample_size()
         hist = map_functional(samples, Functional.inclusion(0), stat)
         oracle = enumerate_posterior(gram.g, stat, n=gram.n)
@@ -131,7 +131,7 @@ class TestMapFunctional:
     def test_beta_functional_uses_observed_range(self):
         gram = toy_gram(p=2, seed=14)
         chain = laplace_chain(gram, seed=14)
-        cfg = RegionConfig(alpha=0.05, nsamples=100, seed=14)
+        cfg = RegionConfig(alpha=0.05, nsamples=100)
         samples = sample_region(chain, cfg, np.random.default_rng(14))
         hist = map_functional(samples, Functional.beta(0), InfoCriterionSpec.bic())
         assert hist.counts.sum() == hist.accepted
@@ -145,9 +145,8 @@ class TestMapFunctional:
         n, p = 5000, 5
         x = rng.uniform(-0.5, 0.5, size=(n, p))
         y = x @ np.array([0.6, -0.5, 0.4, 0.0, 0.0]) + 0.1 * rng.standard_normal(n)
-        chain = oracle_chain(build_gram(reparametrize(
-            RegressionData(y=y, x0=np.ones((n, 1)), x=x))))
-        assert np.all(enumerate_posterior(chain, stat).inclusion <= 1.0)
+        chain = build_gram(reparametrize(RegressionData(y=y, x0=np.ones((n, 1)), x=x)))
+        assert np.all(enumerate_posterior(chain.g, stat, n=chain.n).inclusion <= 1.0)
         samples = sample_region(chain, RegionConfig(alpha=0.05, nsamples=100), rng)
         hist = map_functional(samples, Functional.inclusion(0), stat)
         assert hist.counts.sum() == hist.accepted
