@@ -18,6 +18,7 @@ from dpms import (
     build_gram,
     child_rng,
     enumerate_posterior,
+    gram_law,
     generate_sim_dataset,
     pd_repair,
     privatize_gram,
@@ -35,24 +36,23 @@ print("true support:", np.flatnonzero(beta_true), " sigma =", round(sigma, 4))
 centered = reparametrize(data)
 gram = build_gram(centered)
 stat = GPriorSpec.sample_size()
-sens = Sensitivity(l1=0.5, l2=0.5 * np.sqrt(p + 1))
+law = gram_law(p, PrivacyBudget(1.0), Sensitivity(l1=0.5), 11)
 
-oracle = enumerate_posterior(pd_repair(gram, rng, r=0.0).g, stat, n=n)
+oracle = enumerate_posterior(pd_repair(gram, r=0.0).g, stat, n=n)
 print("\noracle inclusion:", np.round(oracle.inclusion, 3))
 
 for label, threshold in (("Laplace + ridge", False),
                          ("Laplace + threshold + ridge", True)):
-    chain = privatize_gram(gram, PrivacyBudget(1.0), sens, child_rng(11, 1))
+    chain = privatize_gram(gram, law, child_rng(11, 1))
     if threshold:
-        chain = threshold_offdiagonal(chain, 99.0, child_rng(11, 2))
-    chain = pd_repair(chain, child_rng(11, 3))
+        chain = threshold_offdiagonal(chain, 99.0)
+    chain = pd_repair(chain)
     post = enumerate_posterior(chain.g, stat, n=n)
     print(f"{label:28s} inclusion: {np.round(post.inclusion, 3)}  "
           f"(r={chain.r:.1f}, e_lambda={chain.e_lambda:.1f})")
 
 # Synthetic-dataset workflow: rows with exactly the released Gram matrix.
-chain = pd_repair(privatize_gram(gram, PrivacyBudget(1.0), sens, child_rng(11, 4)),
-                  child_rng(11, 5))
+chain = pd_repair(privatize_gram(gram, law, child_rng(11, 4)))
 d_star = synthetic_dataset(chain.g, n, child_rng(11, 6))
 post_direct = enumerate_posterior(chain.g, stat, n=n)
 post_synth = enumerate_posterior(d_star.T @ d_star, stat, n=n)

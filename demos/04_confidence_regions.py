@@ -20,6 +20,7 @@ from dpms import (
     child_rng,
     enumerate_posterior,
     generate_sim_dataset,
+    gram_law,
     map_functional,
     privatize_gram,
     reparametrize,
@@ -35,7 +36,8 @@ gram = build_gram(reparametrize(data))
 stat = GPriorSpec.sample_size()
 oracle = enumerate_posterior(gram.g, stat, n=n)
 
-chain = privatize_gram(gram, PrivacyBudget(1.0), Sensitivity(l1=0.5), child_rng(21, 1))
+law = gram_law(p, PrivacyBudget(1.0), Sensitivity(l1=0.5), 21)
+chain = privatize_gram(gram, law, child_rng(21, 1))
 cfg = RegionConfig(alpha=0.05, nsamples=1000)
 samples = sample_region(chain, cfg, child_rng(21, 2))
 print(f"candidates kept: {len(samples.candidates)}, "

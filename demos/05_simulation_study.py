@@ -22,7 +22,7 @@ for snr in (0.2, 1.0):
     for eps in (0.1, 1.0):
         cfg = SimStudyConfig(p=6, n=10_000, snr=snr, n_active=3,
                              n_datasets=REPS, seed=515)
-        recs = mse_study_cell(cfg, eps, stat=GPriorSpec.sample_size())
+        recs, _ = mse_study_cell(cfg, eps, stat=GPriorSpec.sample_size())
         mse = collections.defaultdict(list)
         dist = collections.defaultdict(list)
         for r in recs:

@@ -40,7 +40,7 @@ from .gram import build_gram, pd_repair, privatize_gram, threshold_offdiagonal
 from .harness import mse_study_cell
 from .io import ingest_csv, posterior_csv_rows, write_csv, write_json_record
 from .linmodel import GPriorSpec, InfoCriterionSpec, reparametrize
-from .mechanisms import PrivacyBudget, Sensitivity, child_rng
+from .mechanisms import PrivacyBudget, Sensitivity, child_rng, gram_law
 from .regions import Functional, RegionConfig, map_functional, sample_region
 from .split_aggregate import (
     CensorBounds,
@@ -297,8 +297,8 @@ def _cmd_calibrate(cfg: dict, out: Path) -> None:
 
 def _release_gram(cfg: dict):
     """Ingest, build and release (or, with --no-noise, keep) the Gram
-    matrix: the data, the released chain and the stream that continues
-    after the release."""
+    matrix under the command's one law: the data, the released chain and
+    the stream that continues after the release."""
     if not cfg["no_noise"] and cfg["epsilon"] is None:
         raise ConfigError(f"{cfg['command']} requires --epsilon unless --no-noise is set")
     data = ingest_csv(cfg["input"], cfg["response"], (), _columns(cfg["x"]),
@@ -308,7 +308,7 @@ def _release_gram(cfg: dict):
     if not cfg["no_noise"]:
         budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
         sens = Sensitivity(l1=cfg["data_entry_bound"], l2=cfg["row_norm_bound"])
-        chain = privatize_gram(chain, budget, sens, rng)
+        chain = privatize_gram(chain, gram_law(data.p, budget, sens, cfg["seed"]), rng)
     return data, chain, rng
 
 
@@ -317,8 +317,8 @@ def _cmd_select(cfg: dict, out: Path) -> None:
 
     data, chain, rng = _release_gram(cfg)
     if cfg["threshold"]:
-        chain = threshold_offdiagonal(chain, cfg["lambda_pct"], rng)
-    chain = pd_repair(chain, rng, r=cfg["r_fixed"])
+        chain = threshold_offdiagonal(chain, cfg["lambda_pct"])
+    chain = pd_repair(chain, r=cfg["r_fixed"])
     post = enumerate_posterior(chain.g, _stat(cfg), cfg["model_prior"], n=chain.n)
     budget = chain.law.budget
     write_csv(out / "posterior.csv", ["model", "log_marginal", "posterior"],
@@ -331,6 +331,7 @@ def _cmd_select(cfg: dict, out: Path) -> None:
         "e_lambda": chain.e_lambda,
         "r2_clamps": post.r2_clamps,
         "mechanism": chain.law.name,
+        "calibration_stream": chain.law.calibration_stream,
         "epsilon": budget.epsilon if budget else None,
         "delta": budget.delta if budget else None,
         "seed": cfg["seed"],
@@ -377,6 +378,7 @@ def _cmd_region(cfg: dict, out: Path) -> None:
         "alpha": region_cfg.alpha,
         "functional": cfg["functional"],
         "mechanism": chain.law.name,
+        "calibration_stream": chain.law.calibration_stream,
         "seed": cfg["seed"],
         "config": _public_config(cfg),
     })
@@ -391,7 +393,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
         p=cfg["p"], n=cfg["n"], snr=cfg["snr"], n_active=cfg["n_active"],
         n_datasets=cfg["n_datasets"], beta_sd=cfg["beta_sd"], seed=cfg["seed"],
     )
-    records = mse_study_cell(
+    records, laws = mse_study_cell(
         sim_cfg, cfg["epsilon"], delta_wishart=cfg["delta_wishart"],
         stat=_stat(cfg), lambda_pct=cfg["lambda_pct"],
     )
@@ -413,7 +415,11 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
                 "run; expected only as a small-sample fluctuation", method, mean,
                 means["O"],
             )
+    calibration = {name: {"r": law.repair_shift} for name, law in laws.items()}
+    calibration["wishart"]["e_lambda"] = laws["wishart"].offdiag_abs_quantile(
+        cfg["lambda_pct"] / 100.0)
     summary = {"cells": means, "delta_wishart": cfg["delta_wishart"],
+               "calibration": dict(calibration, stream=laws["wishart"].calibration_stream),
                "config": _public_config(cfg)}
     write_json_record(out / "sim_summary.json", summary)
 

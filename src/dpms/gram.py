@@ -29,15 +29,7 @@ from .errors import (
     RepairFailureError,
 )
 from .linmodel import CenteredData, GPriorSpec, InfoCriterionSpec, log_stat
-from .mechanisms import (
-    LaplaceGramLaw,
-    PrivacyBudget,
-    Sensitivity,
-    WishartGramLaw,
-    ZeroGramLaw,
-    draw_chunks,
-    gram_law,
-)
+from .mechanisms import LaplaceGramLaw, WishartGramLaw, ZeroGramLaw
 # Bound here because perfbench/tracing.py wraps them under dpms.gram.
 from .linmodel import log_bayes_factor, log_info_criterion, zs_shrinkage  # noqa: F401
 from .mechanisms import laplace_gram_error, wishart_gram_error  # noqa: F401
@@ -61,8 +53,6 @@ log = logging.getLogger(__name__)
 ENUMERATION_GUARD = 20
 # Largest temporary of a batched enumeration pass, in float64 entries (2 MB).
 STACK_FLOATS = 1 << 18
-# Mechanism draws behind the auto repair's 99th-percentile shift.
-REPAIR_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -104,34 +94,34 @@ def build_gram(c: CenteredData) -> GramChain:
 
 def privatize_gram(
     chain: GramChain,
-    budget: PrivacyBudget,
-    sens: Sensitivity,
+    law: LaplaceGramLaw | WishartGramLaw,
     rng: np.random.Generator,
 ) -> GramChain:
     """Release G* = G + E from the zero-noise chain of :func:`build_gram`,
-    under the error law the budget selects
-    (:func:`dpms.mechanisms.gram_law`).  A chain that already carries
-    noise is a ``ConfigError``."""
+    with E one draw from ``rng`` of the error law
+    (:func:`dpms.mechanisms.gram_law`), whose calibrations every chain of
+    that law shares.  A chain that already carries noise, or a law of
+    another dimension, is a ``ConfigError``."""
     if not isinstance(chain.law, ZeroGramLaw):
         raise ConfigError(f"the chain already carries {chain.law.name} noise")
-    law = gram_law(chain.p, budget, sens)
+    if law.p != chain.p:
+        raise ConfigError(f"a law for p = {law.p} cannot noise a chain with p = {chain.p}")
     g_star = chain.g_star + law.sample(rng)
     return GramChain(g_star=g_star, g=g_star, n=chain.n, law=law)
 
 
-def threshold_offdiagonal(
-    chain: GramChain, lambda_pct: float, rng: np.random.Generator
-) -> GramChain:
+def threshold_offdiagonal(chain: GramChain, lambda_pct: float) -> GramChain:
     """Zero out off-diagonal entries of the working matrix smaller than
     the noise quantile.
 
     The threshold e_lambda is the lambda-th percentile of |E_ij| (closed
-    form for Laplace; a seeded Monte-Carlo percentile for Wishart).  An
-    off-diagonal entry below it is more plausibly pure noise than signal.
+    form for Laplace; for Wishart a Monte-Carlo percentile that the law
+    draws once, from its calibration stream).  An off-diagonal entry
+    below it is more plausibly pure noise than signal.
     """
     if not 0.0 < lambda_pct < 100.0:
         raise ConfigError(f"lambda percentile must lie in (0, 100), got {lambda_pct}")
-    e_lambda = chain.law.offdiag_abs_quantile(lambda_pct / 100.0, rng)
+    e_lambda = chain.law.offdiag_abs_quantile(lambda_pct / 100.0)
     g = chain.g.copy()
     off = ~np.eye(g.shape[0], dtype=bool)
     g[off & (np.abs(g) < e_lambda)] = 0.0
@@ -143,36 +133,25 @@ def _min_eig(m: np.ndarray) -> float:
 
 
 def _draw_error(chain: GramChain, rng: np.random.Generator, size: int | None = None):
-    # Kept because perfbench/tracing.py wraps it; pd_repair now draws its
-    # stacks through mechanisms.draw_chunks.
+    # Kept because perfbench/tracing.py wraps it; no package code calls it.
     return chain.law.sample(rng, size)
 
 
-def pd_repair(
-    chain: GramChain,
-    rng: np.random.Generator,
-    *,
-    r: float | None = None,
-) -> GramChain:
+def pd_repair(chain: GramChain, *, r: float | None = None) -> GramChain:
     """Add r I to the working matrix to restore positive definiteness
     after noise/thresholding.
 
-    With ``r=None`` (auto policy), r is the 99th percentile of
-    -lambda_min(E) over ``REPAIR_DRAWS`` seeded mechanism draws; if the
-    result is still not positive definite, r escalates to 3 |lambda_min|
-    of the unrepaired matrix.  A fixed r skips the simulation.
+    With ``r=None`` (auto policy), r is the law's ``repair_shift``, drawn
+    once per law and shared by all its chains; if the result is still not
+    positive definite, r escalates to 3 |lambda_min| of this chain's
+    unrepaired matrix.  A fixed r is used as given.
     """
     base = chain.g
-    if r is None:
-        mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0]
-                               for e in draw_chunks(chain.law, REPAIR_DRAWS, rng)])
-        r = float(np.quantile(np.maximum(-mins, 0.0), 0.99))
-        candidate = base + r * np.eye(base.shape[0])
-        if _min_eig(candidate) <= 0.0:
-            r = 3.0 * abs(_min_eig(base))
-            candidate = base + r * np.eye(base.shape[0])
-    else:
-        r = float(r)
+    auto = r is None
+    r = chain.law.repair_shift if auto else float(r)
+    candidate = base + r * np.eye(base.shape[0])
+    if auto and _min_eig(candidate) <= 0.0:
+        r = 3.0 * abs(_min_eig(base))
         candidate = base + r * np.eye(base.shape[0])
     w_min = _min_eig(candidate)
     if w_min <= 0.0:

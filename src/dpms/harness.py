@@ -32,7 +32,7 @@ from .linmodel import (
 )
 # Bound here because perfbench/tracing.py wraps it under dpms.harness.
 from .linmodel import zs_shrinkage  # noqa: F401
-from .mechanisms import PrivacyBudget, Sensitivity, child_rng
+from .mechanisms import PrivacyBudget, Sensitivity, child_rng, gram_law
 from .split_aggregate import (
     CensorBounds,
     aggregate_private,
@@ -108,29 +108,25 @@ def _bounded_dataset_fixed_beta(
 def _dataset_posteriors(
     oracle: GramChain,
     stat: GPriorSpec | InfoCriterionSpec,
-    methods: tuple[str, ...],
-    epsilon: float,
-    delta_wishart: float,
-    sens: Sensitivity,
+    laws: dict,
     lambda_pct: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, ModelPosterior]:
     """The released matrices of one dataset, stacked, and their posteriors
     under the hierarchical model prior.
 
-    The zero-noise chain of :func:`build_gram` comes first, then each
-    method's chain, in the order given and drawn from ``rng`` in that
-    order: Laplace (LM, LMT) or Wishart (WM, WMT) noise, a hard threshold
-    for the T variants, and the auto repair.  One enumeration scores the
-    whole stack.
+    The zero-noise chain of :func:`build_gram` comes first, then the chain
+    of each method of ``laws`` (method name to error law), in that order,
+    each release drawn from ``rng``: the law's noise, a hard threshold for
+    the T variants, and the auto repair, both calibrated by the law.  One
+    enumeration scores the whole stack.
     """
-    chains = [pd_repair(oracle, rng, r=0.0)]
-    for method in methods:
-        delta = 0.0 if method in ("LM", "LMT") else delta_wishart
-        chain = privatize_gram(oracle, PrivacyBudget(epsilon, delta), sens, rng)
+    chains = [pd_repair(oracle, r=0.0)]
+    for method, law in laws.items():
+        chain = privatize_gram(oracle, law, rng)
         if method.endswith("T"):
-            chain = threshold_offdiagonal(chain, lambda_pct, rng)
-        chains.append(pd_repair(chain, rng))
+            chain = threshold_offdiagonal(chain, lambda_pct)
+        chains.append(pd_repair(chain))
     gs = np.stack([chain.g for chain in chains])
     return gs, enumerate_posterior(gs, stat, n=oracle.n)
 
@@ -144,19 +140,20 @@ def prop2_median_posteriors(
     active with the fixed absolute value ``beta_magnitude`` (random
     signs), and SNR 1 is generated, then scored under BIC by the
     zero-noise chain and by the Laplace chain at epsilon = 1 thresholded
-    at the 99th percentile; the medians over seeds are returned.
+    at the 99th percentile (one law for every seed); the medians over
+    seeds are returned.
     """
     p, n_active, snr, epsilon, lambda_pct = 5, 2, 1.0, 1.0, 99.0
     stat = InfoCriterionSpec.bic()
-    sens = Sensitivity(l1=0.5, l2=0.5 * math.sqrt(p + 1))
+    laws = {"LMT": gram_law(p, PrivacyBudget(epsilon), Sensitivity(l1=0.5), seed)}
     post_dp = np.empty(n_seeds)
     post_oracle = np.empty(n_seeds)
     for s in range(n_seeds):
         rng = child_rng(seed, s)
         data, beta = _bounded_dataset_fixed_beta(p, n, snr, n_active, beta_magnitude, rng)
         gamma_true = sum(1 << j for j in range(p) if beta[j] != 0.0)
-        _, post = _dataset_posteriors(build_gram(reparametrize(data)), stat, ("LMT",),
-                                      epsilon, 0.0, sens, lambda_pct, rng)
+        _, post = _dataset_posteriors(build_gram(reparametrize(data)), stat, laws,
+                                      lambda_pct, rng)
         post_oracle[s], post_dp[s] = post.posterior[:, gamma_true]
     return float(np.median(post_dp)), float(np.median(post_oracle))
 
@@ -182,17 +179,22 @@ def mse_study_cell(
     delta_wishart: float = math.exp(-10.0),
     stat: GPriorSpec | InfoCriterionSpec | None = None,
     lambda_pct: float = 99.0,
-) -> list[SimRecord]:
-    """All replications of one (snr, epsilon) cell of the study.
+) -> tuple[list[SimRecord], dict]:
+    """All replications of one (snr, epsilon) cell of the study, and the
+    cell's two error laws by name (``laplace``, ``wishart``).
 
     Every replication scores the oracle plus each mechanism variant of
     ``DP_METHODS``, under the hierarchical model prior, on: prediction
     MSE of the model-averaged fit, MSE of the full-model fit, their
     relative improvement, and the normalized L2 distance of inclusion
-    probabilities from the oracle's.
+    probabilities from the oracle's.  LM and LMT share the Laplace law,
+    WM and WMT the Wishart law, and so their calibrations.
     """
     stat = GPriorSpec.zellner_siow() if stat is None else stat
     sens = Sensitivity(l1=0.5, l2=0.5 * math.sqrt(cfg.p + 1))
+    laws = {name: gram_law(cfg.p, PrivacyBudget(epsilon, delta), sens, cfg.seed)
+            for name, delta in (("laplace", 0.0), ("wishart", delta_wishart))}
+    by_method = {m: laws["laplace" if m.startswith("L") else "wishart"] for m in DP_METHODS}
     records: list[SimRecord] = []
     for rep in range(cfg.n_datasets):
         rng = child_rng(cfg.seed, rep)
@@ -203,8 +205,7 @@ def mse_study_cell(
         )
         centered = reparametrize(data)
         v, v_beta = centered.v, centered.v @ beta
-        gs, post = _dataset_posteriors(build_gram(centered), stat, DP_METHODS,
-                                       epsilon, delta_wishart, sens, lambda_pct, rng)
+        gs, post = _dataset_posteriors(build_gram(centered), stat, by_method, lambda_pct, rng)
         # The all-predictors model of every released matrix, with its shrinkage.
         coef, r2, _ = _fit(gs, np.arange(cfg.p)[None])
         beta_full = log_stat(r2, cfg.n, cfg.p, 1, stat)[1] * coef[:, 0]
@@ -214,4 +215,4 @@ def mse_study_cell(
             rel = (mse_full - mse) / mse_full if mse_full > 0 else 0.0
             dist = float(np.linalg.norm(post.inclusion[i] - post.inclusion[0])) / math.sqrt(cfg.p)
             records.append(SimRecord(cfg.snr, epsilon, rep, method, mse, mse_full, rel, dist))
-    return records
+    return records, laws

@@ -6,19 +6,21 @@ Laplace or analytic-Gaussian law of a subsample-and-aggregate mean, and
 :func:`gram_law` the Laplace or Wishart error law of the Gram release
 (:class:`ZeroGramLaw` is the zero-noise oracle).  A Gram law samples its
 error (one draw, or a stack), gives the quantiles of an off-diagonal
-entry's absolute value (for hard thresholds), and builds the central
-acceptance set whose ``draws`` confidence regions sample.  A Laplace or
-zero stack equals that many single draws in turn.  A Wishart stack takes
-its variates in bulk, so Wishart draws depend on the stack size and on
-DRAW_CHUNK as well as on the stream; a single draw is a stack of one.
-Everything is pure given a ``numpy.random.Generator``; callers own their
-streams (see :func:`child_rng`).
+entry's absolute value (for hard thresholds), the auto PD repair's
+shift, and the central acceptance set whose ``draws`` confidence regions
+sample; these calibrations read the law alone and are drawn once per law
+(:class:`_CalibratedLaw`).  A Laplace or zero stack equals that many
+single draws in turn.  A Wishart stack takes its variates in bulk, so
+Wishart draws depend on the stack size and on DRAW_CHUNK as well as on
+the stream; a single draw is a stack of one.  Everything is pure given a
+``numpy.random.Generator``; callers own their streams (see
+:func:`child_rng`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "LaplaceGramLaw",
     "WishartGramLaw",
     "ZeroGramLaw",
+    "CALIBRATION",
     "child_rng",
     "analytic_gaussian_sigma",
     "classical_gaussian_sigma",
@@ -45,8 +48,12 @@ __all__ = [
     "wishart_gram_error",
 ]
 
-# Monte-Carlo draws behind the Wishart off-diagonal quantile.
+# Monte-Carlo draws behind the Wishart off-diagonal quantile and ball radius.
 QUANTILE_DRAWS = 100_000
+# Mechanism draws behind the auto repair's 99th-percentile shift.
+REPAIR_DRAWS = 1000
+# Calibration j of a law with seed s draws from child_rng(s, CALIBRATION, j).
+CALIBRATION = 0
 # Largest stack of Gram error draws formed at once.
 DRAW_CHUNK = 2_000
 # Bracketing and bisection steps allowed in analytic_gaussian_sigma.
@@ -268,8 +275,36 @@ def draw_chunks(law, n: int, rng: np.random.Generator):
         yield law.sample(rng, min(DRAW_CHUNK, n - start))
 
 
+@dataclass(frozen=True, kw_only=True)
+class _CalibratedLaw:
+    """A noisy Gram law's Monte-Carlo calibrations, each computed at most
+    once per law object.  Calibration j (0 the repair shift, 1 the
+    off-diagonal quantile, 2 the ball radius) draws from the two-level key
+    child_rng(seed, CALIBRATION, j), which no release stream has, so the
+    values depend neither on the release nor on which comes first."""
+
+    seed: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    calibration_stream: ClassVar[tuple[int, ...]] = (CALIBRATION,)
+
+    def _calibrated(self, j: int, key, compute) -> float:
+        if (j, key) not in self._memo:
+            self._memo[j, key] = compute(child_rng(self.seed, CALIBRATION, j))
+        return self._memo[j, key]
+
+    @property
+    def repair_shift(self) -> float:
+        """The auto PD repair's r: the 99th percentile of -lambda_min(E)
+        over REPAIR_DRAWS draws of the law."""
+        def shift(rng):
+            mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0]
+                                   for e in draw_chunks(self, REPAIR_DRAWS, rng)])
+            return float(np.quantile(np.maximum(-mins, 0.0), 0.99))
+        return self._calibrated(0, None, shift)
+
+
 @dataclass(frozen=True)
-class LaplaceGramLaw:
+class LaplaceGramLaw(_CalibratedLaw):
     """Gram error with an iid Laplace(0, scale) upper triangle."""
 
     p: int
@@ -291,16 +326,16 @@ class LaplaceGramLaw:
             lambda n: _symmetric(m, rng.laplace(0.0, self.scale, size=(n, m * (m + 1) // 2))),
             size)
 
-    def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
+    def offdiag_abs_quantile(self, q: float) -> float:
         # |Laplace(b)| has CDF 1 - exp(-t/b).
         return -self.scale * math.log1p(-q)
 
-    def central_set(self, alpha: float, rng: np.random.Generator) -> "_LaplaceBox":
+    def central_set(self, alpha: float) -> "_LaplaceBox":
         return _LaplaceBox(self, alpha)
 
 
 @dataclass(frozen=True)
-class WishartGramLaw:
+class WishartGramLaw(_CalibratedLaw):
     """Centered Wishart Gram error E = W - k l2^2 I.
 
     W ~ Wishart(k, l2^2 I_{p+1}) with k from :func:`wishart_dof`; the
@@ -328,16 +363,26 @@ class WishartGramLaw:
                        - self.k * self.l2**2 * np.eye(m)),
             size)
 
-    def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
+    def offdiag_abs_quantile(self, q: float) -> float:
         # An off-diagonal entry of Wishart(k, I) is sum_l x_l y_l with x, y
         # iid standard normal, which equals (chi2_k - chi2_k) / 2 in
-        # distribution; its quantile is a seeded Monte-Carlo estimate.
-        k, size = self.k, QUANTILE_DRAWS
-        draws = np.abs(self.l2**2 * 0.5 * (rng.chisquare(k, size) - rng.chisquare(k, size)))
-        return float(np.quantile(draws, q))
+        # distribution; its quantile is a Monte-Carlo estimate.
+        def quantile(rng):
+            k, size = self.k, QUANTILE_DRAWS
+            draws = np.abs(self.l2**2 * 0.5 * (rng.chisquare(k, size) - rng.chisquare(k, size)))
+            return float(np.quantile(draws, q))
+        return self._calibrated(1, q, quantile)
 
-    def central_set(self, alpha: float, rng: np.random.Generator) -> "_WishartBall":
-        return _WishartBall(self, alpha, rng)
+    def ball_radius(self, alpha: float) -> float:
+        """The (1-alpha) quantile of the spectral norm over QUANTILE_DRAWS draws."""
+        def radius(rng):
+            norms = np.concatenate([_spectral_norms(e)
+                                    for e in draw_chunks(self, QUANTILE_DRAWS, rng)])
+            return float(np.quantile(norms, 1.0 - alpha))
+        return self._calibrated(2, alpha, radius)
+
+    def central_set(self, alpha: float) -> "_WishartBall":
+        return _WishartBall(self, alpha)
 
 
 @dataclass(frozen=True)
@@ -347,34 +392,39 @@ class ZeroGramLaw:
     p: int
     name: ClassVar[str] = "none"
     budget: ClassVar[None] = None
+    repair_shift: ClassVar[float] = 0.0
+    calibration_stream: ClassVar[None] = None
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         m = self.p + 1
         return _one_or_stack(lambda n: np.zeros((n, m, m)), size)
 
-    def offdiag_abs_quantile(self, q: float, rng: np.random.Generator) -> float:
+    def offdiag_abs_quantile(self, q: float) -> float:
         return 0.0
 
-    def central_set(self, alpha: float, rng: np.random.Generator) -> "_Origin":
+    def central_set(self, alpha: float) -> "_Origin":
         return _Origin(self.p + 1)
 
 
-def gram_law(p: int, budget: PrivacyBudget, sens: Sensitivity) -> LaplaceGramLaw | WishartGramLaw:
+def gram_law(p: int, budget: PrivacyBudget, sens: Sensitivity,
+             seed: int) -> LaplaceGramLaw | WishartGramLaw:
     """The error law of a Gram release under this budget.
 
     delta = 0 gives iid Laplace noise on the upper triangle at the
     per-entry sensitivity 2 * l1^2 (the worst-case change of one Gram
     entry when one data row with entries bounded by l1 is replaced).
     delta > 0 gives the centered Wishart error, which needs the row-norm
-    bound l2.
+    bound l2.  The law draws its calibrations from ``seed`` (see
+    :class:`_CalibratedLaw`); build it once per command and pass it on.
     """
     if budget.pure:
         if sens.l1 <= 0:
             raise ConfigError("Laplace Gram release needs the data entry bound sens.l1")
-        return LaplaceGramLaw(p, laplace_gram_scale(p, budget.epsilon, 2.0 * sens.l1**2), budget)
+        scale = laplace_gram_scale(p, budget.epsilon, 2.0 * sens.l1**2)
+        return LaplaceGramLaw(p, scale, budget, seed=seed)
     if sens.l2 <= 0:
         raise ConfigError("Wishart Gram release needs the row-norm bound sens.l2")
-    return WishartGramLaw(p, wishart_dof(p, budget), sens.l2, budget)
+    return WishartGramLaw(p, wishart_dof(p, budget), sens.l2, budget, seed=seed)
 
 
 def laplace_gram_error(
@@ -385,7 +435,7 @@ def laplace_gram_error(
 ) -> np.ndarray:
     """Symmetric (p+1)x(p+1) error with iid Laplace upper triangle."""
     scale = laplace_gram_scale(p, budget.epsilon, per_entry_sensitivity)
-    return LaplaceGramLaw(p, scale, budget).sample(rng)
+    return LaplaceGramLaw(p, scale, budget, seed=0).sample(rng)  # sampling reads no seed
 
 
 def wishart_gram_error(
@@ -396,7 +446,7 @@ def wishart_gram_error(
 ) -> np.ndarray:
     """One centered Wishart error draw for the Gram release (see
     :class:`WishartGramLaw`)."""
-    return WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget).sample(rng)
+    return WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget, seed=0).sample(rng)
 
 
 class _LaplaceBox:
@@ -431,9 +481,10 @@ class _LaplaceBox:
 class _WishartBall:
     """Spectral-norm acceptance set for the dependent Wishart error.
 
-    The radius is the empirical (1-alpha) quantile of the spectral norm
-    over QUANTILE_DRAWS calibration draws, so rejecting the largest alpha
-    fraction gives an acceptance set of probability 1 - alpha.  Sampling
+    The radius is the law's :meth:`WishartGramLaw.ball_radius`, the
+    empirical (1-alpha) quantile of the spectral norm over its own
+    calibration draws, so rejecting the largest alpha fraction gives an
+    acceptance set of probability 1 - alpha.  Sampling
     rejects whole DRAW_CHUNK stacks and keeps the first n accepted draws,
     so the draws depend on n and on DRAW_CHUNK as well as on the stream.
     """
@@ -441,11 +492,9 @@ class _WishartBall:
     # Draws without an acceptance after which rejection sampling gives up.
     STALL = 10_000
 
-    def __init__(self, law: WishartGramLaw, alpha: float, rng: np.random.Generator):
+    def __init__(self, law: WishartGramLaw, alpha: float):
         self.law = law
-        norms = np.concatenate([_spectral_norms(e)
-                                for e in draw_chunks(law, QUANTILE_DRAWS, rng)])
-        self.radius = float(np.quantile(norms, 1.0 - alpha))
+        self.radius = law.ball_radius(alpha)
 
     def contains(self, e: np.ndarray) -> bool:
         return bool(_spectral_norms(e) <= self.radius)

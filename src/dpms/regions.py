@@ -3,8 +3,9 @@
 A :class:`dpms.gram.GramChain` keeps the release G* = G + E with its
 fully known error law, so a (1-alpha) region for G is obtained by
 sampling the law's central (1-alpha) set of errors (see
-:mod:`dpms.mechanisms`), subtracting the draws from G* and intersecting
-with the positive-definite cone.  The chain's post-processed matrix
+:mod:`dpms.mechanisms`; the law calibrates the set once, from its own
+stream), subtracting the draws from G* and intersecting with the
+positive-definite cone.  The chain's post-processed matrix
 (thresholded, repaired) plays no part.  Pushing every surviving
 candidate through the model-enumeration map yields a histogram over any
 scalar summary (inclusion probability, posterior mean coefficient); its
@@ -87,7 +88,7 @@ def sample_region(
     cone are dropped and counted.  Without noise the set is one point, so
     the release itself is the only candidate.
     """
-    acc = chain.law.central_set(cfg.alpha, rng)
+    acc = chain.law.central_set(cfg.alpha)
     g = chain.g_star - acc.draws(cfg.nsamples, rng)
     pd = np.linalg.eigvalsh(g)[:, 0] > 0.0
     if not pd.any():
@@ -98,15 +99,14 @@ def sample_region(
     return RegionSamples(g[pd], int(pd.size - pd.sum()), chain.n)
 
 
-def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig,
-                    rng: np.random.Generator) -> bool:
+def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig) -> bool:
     """Whether a matrix lies in the (1-alpha) region of the release.
 
     G is in the region iff the implied error G* - G falls in the central
     acceptance set (and G is positive definite, which holds for any true
     Gram matrix of a full-rank design).
     """
-    acc = chain.law.central_set(cfg.alpha, rng)
+    acc = chain.law.central_set(cfg.alpha)
     if np.linalg.eigvalsh(np.asarray(g_true))[0] <= 0.0:
         return False
     return acc.contains(chain.g_star - g_true)

@@ -45,6 +45,7 @@ from dpms.mechanisms import (
     analytic_gaussian_sigma,
     child_rng,
     classical_gaussian_sigma,
+    gram_law,
     wishart_dof,
     wishart_gram_error,
 )
@@ -189,7 +190,7 @@ def test_c06_zero_noise_oracle_equivalence():
 
         data = RegressionData(y=y, x0=np.ones((n, 1)), x=x)
         c = reparametrize(data)
-        chain = pd_repair(build_gram(c), rng, r=0.0)
+        chain = pd_repair(build_gram(c), r=0.0)
         stat = GPriorSpec.sample_size()
         post = enumerate_posterior(chain.g, stat, n=chain.n)
 
@@ -339,7 +340,7 @@ def test_c11_scaled_mse_trend_replication():
         for eps in (0.1, 1.0):
             cfg = SimStudyConfig(p=6, n=10_000, snr=snr, n_active=3,
                                  n_datasets=100, seed=515)
-            recs = mse_study_cell(cfg, eps)
+            recs, _ = mse_study_cell(cfg, eps)
             cell = {}
             for method in ("O",) + DP_METHODS:
                 cell[method] = float(np.mean([r.mse for r in recs
@@ -371,16 +372,15 @@ def test_c12_confidence_region_coverage():
     gram = build_gram(CenteredData(z=z, v=v))
     cfg = RegionConfig(alpha=0.05, nsamples=1000)
 
+    law = gram_law(p, PrivacyBudget(1.0), Sensitivity(l1=0.5), 303)
     hits = 0
     for i in range(500):
-        chain = privatize_gram(gram, PrivacyBudget(1.0), Sensitivity(l1=0.5),
-                               child_rng(303, i))
-        hits += region_contains(chain, gram.g, cfg, np.random.default_rng(0))
+        chain = privatize_gram(gram, law, child_rng(303, i))
+        hits += region_contains(chain, gram.g, cfg)
     coverage = hits / 500
     assert coverage >= 0.93
 
-    chain = privatize_gram(gram, PrivacyBudget(1.0), Sensitivity(l1=0.5),
-                           child_rng(303, 0))
+    chain = privatize_gram(gram, law, child_rng(303, 0))
     samples = sample_region(chain, cfg, child_rng(304, 0))
     stat = InfoCriterionSpec.bic()
     means = []

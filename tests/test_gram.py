@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpms import mechanisms
 from dpms.datagen import SimStudyConfig, generate_sim_dataset
 from dpms.errors import ConfigError, DegenerateResponseError, RepairFailureError
 from dpms.gram import (
@@ -30,7 +31,7 @@ from dpms.linmodel import (
     reparametrize,
     zs_shrinkage,
 )
-from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity, ZeroGramLaw
+from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity, ZeroGramLaw, gram_law
 
 
 def toy_centered(n=50, p=4, seed=0):
@@ -82,18 +83,22 @@ class TestPrivatizeGram:
         assert np.array_equal(chain.g_star, chain.g)
 
     def test_noisy_chain_is_config_error(self):
-        chain = privatize_gram(build_gram(toy_centered()), PrivacyBudget(1.0),
-                               Sensitivity(l1=0.5), np.random.default_rng(0))
+        law = gram_law(4, PrivacyBudget(1.0), Sensitivity(l1=0.5), 0)
+        chain = privatize_gram(build_gram(toy_centered()), law, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="already carries laplace noise"):
-            privatize_gram(chain, PrivacyBudget(1.0), Sensitivity(l1=0.5),
-                           np.random.default_rng(1))
+            privatize_gram(chain, law, np.random.default_rng(1))
+
+    def test_law_of_another_dimension_is_config_error(self):
+        law = gram_law(3, PrivacyBudget(1.0), Sensitivity(l1=0.5), 0)
+        with pytest.raises(ConfigError, match="p = 3"):
+            privatize_gram(build_gram(toy_centered(p=4)), law, np.random.default_rng(0))
 
     def test_wishart_shift_is_psd_per_draw(self):
         gram = build_gram(toy_centered(p=2))
-        budget = PrivacyBudget(1.0, 0.2)
+        law = gram_law(2, PrivacyBudget(1.0, 0.2), Sensitivity(l2=1.0), 0)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            chain = privatize_gram(gram, budget, Sensitivity(l2=1.0), rng)
+            chain = privatize_gram(gram, law, rng)
             e = chain.g_star - gram.g
             shifted = e + chain.law.k * 1.0 * np.eye(3)
             assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * np.trace(shifted)
@@ -104,25 +109,25 @@ class TestPrivatizeGram:
         gram = build_gram(toy_centered(p=2))
         rng = np.random.default_rng(5)
         iu = np.triu_indices(3)
-        sens = Sensitivity(l1=math.sqrt(0.5))
+        law = gram_law(2, PrivacyBudget(1.0), Sensitivity(l1=math.sqrt(0.5)), 0)
         entries = []
         for _ in range(10_000):
-            chain = privatize_gram(gram, PrivacyBudget(1.0), sens, rng)
+            chain = privatize_gram(gram, law, rng)
             entries.append((chain.g_star - gram.g)[iu])
         assert np.concatenate(entries).var() == pytest.approx(72.0, rel=0.1)
 
     def test_missing_sensitivity_is_config_error(self):
         gram = build_gram(toy_centered())
         with pytest.raises(ConfigError):
-            privatize_gram(gram, PrivacyBudget(1.0), Sensitivity(),
+            privatize_gram(gram, gram_law(gram.p, PrivacyBudget(1.0), Sensitivity(), 0),
                            np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            privatize_gram(gram, PrivacyBudget(1.0, 0.1), Sensitivity(l1=1.0),
+            privatize_gram(gram, gram_law(gram.p, PrivacyBudget(1.0, 0.1), Sensitivity(l1=1.0), 0),
                            np.random.default_rng(0))
 
     def test_default_per_entry_sensitivity_is_twice_bound_squared(self):
         gram = build_gram(toy_centered(p=1))
-        chain = privatize_gram(gram, PrivacyBudget(2.0), Sensitivity(l1=0.5),
+        chain = privatize_gram(gram, gram_law(1, PrivacyBudget(2.0), Sensitivity(l1=0.5), 0),
                                np.random.default_rng(0))
         # 2 * 0.5^2 = 0.5 per entry; scale = 0.5 * (2*3)/(2*2) = 0.75.
         assert chain.law.scale == pytest.approx(0.75)
@@ -131,17 +136,17 @@ class TestPrivatizeGram:
 class TestThresholdOffdiagonal:
     def _chain(self, seed=6, p=3, eps=1.0):
         gram = build_gram(toy_centered(p=p, seed=seed))
-        return gram, privatize_gram(gram, PrivacyBudget(eps), Sensitivity(l1=0.5),
-                                    np.random.default_rng(seed))
+        law = gram_law(p, PrivacyBudget(eps), Sensitivity(l1=0.5), seed)
+        return gram, privatize_gram(gram, law, np.random.default_rng(seed))
 
     def test_tiny_lambda_keeps_everything(self):
         _, chain = self._chain()
-        out = threshold_offdiagonal(chain, 1e-9, np.random.default_rng(0))
+        out = threshold_offdiagonal(chain, 1e-9)
         np.testing.assert_array_equal(out.g, chain.g_star)
 
     def test_huge_threshold_leaves_diagonal(self):
         _, chain = self._chain(eps=1e6)  # nearly noiseless, small entries
-        out = threshold_offdiagonal(chain, 99.9999999, np.random.default_rng(0))
+        out = threshold_offdiagonal(chain, 99.9999999)
         off = out.g[~np.eye(out.g.shape[0], dtype=bool)]
         diag_preserved = np.diag(out.g) == np.diag(chain.g_star)
         assert diag_preserved.all()
@@ -149,7 +154,7 @@ class TestThresholdOffdiagonal:
 
     def test_laplace_closed_form_percentile(self):
         _, chain = self._chain()
-        out = threshold_offdiagonal(chain, 99.0, np.random.default_rng(0))
+        out = threshold_offdiagonal(chain, 99.0)
         assert out.e_lambda == pytest.approx(chain.law.scale * math.log(100.0),
                                              rel=1e-12)
 
@@ -157,49 +162,96 @@ class TestThresholdOffdiagonal:
         _, chain = self._chain()
         counts = []
         for lam in (1.0, 50.0, 90.0, 99.0, 99.99):
-            out = threshold_offdiagonal(chain, lam, np.random.default_rng(0))
+            out = threshold_offdiagonal(chain, lam)
             off = out.g[~np.eye(out.g.shape[0], dtype=bool)]
             counts.append(int(np.count_nonzero(off)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_wishart_percentile_via_monte_carlo(self):
         gram = build_gram(toy_centered(p=2, seed=7))
-        chain = privatize_gram(gram, PrivacyBudget(1.0, 0.3), Sensitivity(l2=1.0),
+        chain = privatize_gram(gram, gram_law(2, PrivacyBudget(1.0, 0.3), Sensitivity(l2=1.0), 8),
                                np.random.default_rng(7))
-        out = threshold_offdiagonal(chain, 95.0, np.random.default_rng(8))
+        out = threshold_offdiagonal(chain, 95.0)
         # Off-diagonal entries have variance k for unit scale: the 95th
         # percentile of the absolute value is near 1.96 sqrt(k).
         assert out.e_lambda == pytest.approx(1.96 * math.sqrt(chain.law.k), rel=0.05)
 
 
+class TestLawCalibration:
+    """A law computes its repair shift and off-diagonal quantile once,
+    from its own calibration stream, and every chain of it shares them."""
+
+    def test_twenty_chains_draw_the_repair_calibration_once(self, monkeypatch):
+        calls = []
+
+        def counted(law, n, rng):
+            calls.append(n)
+            return real(law, n, rng)
+
+        real = mechanisms.draw_chunks
+        monkeypatch.setattr(mechanisms, "draw_chunks", counted)
+        gram = build_gram(toy_centered(p=3))
+        law = gram_law(3, PrivacyBudget(1.0), Sensitivity(l1=0.5), 5)
+        rng = np.random.default_rng(0)
+        chains = [pd_repair(privatize_gram(gram, law, rng)) for _ in range(20)]
+        assert len(chains) == 20
+        assert calls == [mechanisms.REPAIR_DRAWS]
+
+    def test_calibrations_do_not_depend_on_the_release_stream_or_order(self):
+        gram = build_gram(toy_centered(p=2))
+        first, second = (gram_law(2, PrivacyBudget(1.0, 0.3), Sensitivity(l2=1.0), 7)
+                         for _ in range(2))
+        a = pd_repair(threshold_offdiagonal(
+            privatize_gram(gram, first, np.random.default_rng(1)), 99.0))
+        b = threshold_offdiagonal(
+            pd_repair(privatize_gram(gram, second, np.random.default_rng(2))), 99.0)
+        assert not np.array_equal(a.g_star, b.g_star)
+        assert a.e_lambda == b.e_lambda
+        assert first.repair_shift == second.repair_shift
+
+    def test_another_law_seed_gives_another_repair_shift(self):
+        shifts = [gram_law(2, PrivacyBudget(1.0), Sensitivity(l1=0.5), seed).repair_shift
+                  for seed in (1, 2)]
+        assert shifts[0] != shifts[1]
+
+    def test_escalation_stays_per_chain(self):
+        law = LaplaceGramLaw(1, 0.1, PrivacyBudget(1.0), seed=3)
+        bad, good = np.diag([-5.0, 1.0]), 10.0 * np.eye(2)
+        escalated = pd_repair(GramChain(g_star=bad, g=bad, n=10, law=law))
+        sibling = pd_repair(GramChain(g_star=good, g=good, n=10, law=law))
+        assert law.repair_shift < 5.0
+        assert escalated.r == 15.0
+        assert sibling.r == law.repair_shift
+
+
 class TestPdRepair:
     def test_fixed_zero_on_pd_matrix_is_identity(self):
         gram = build_gram(toy_centered())
-        chain = pd_repair(gram, np.random.default_rng(0), r=0.0)
+        chain = pd_repair(gram, r=0.0)
         np.testing.assert_array_equal(chain.g, gram.g)
 
     def test_eigenvalue_shift_identity(self):
         base = np.diag([-2.0, 5.0])
         chain = GramChain(g_star=base, g=base, n=10, law=ZeroGramLaw(1))
-        out = pd_repair(chain, np.random.default_rng(0), r=3.0)
+        out = pd_repair(chain, r=3.0)
         assert np.linalg.eigvalsh(out.g)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_r_that_fails_raises(self):
         base = np.diag([-2.0, 5.0])
         chain = GramChain(g_star=base, g=base, n=10, law=ZeroGramLaw(1))
         with pytest.raises(RepairFailureError):
-            pd_repair(chain, np.random.default_rng(0), r=1.0)
+            pd_repair(chain, r=1.0)
 
     def test_auto_policy_repairs_identity_gram(self):
         g = np.eye(3)
         rng = np.random.default_rng(9)
+        law = LaplaceGramLaw(2, 6.0, PrivacyBudget(1.0), seed=9)
         ok = 0
         for trial in range(1000):
             noisy = g + 6.0 * rng.laplace(size=(3, 3))
             noisy = 0.5 * (noisy + noisy.T)
-            chain = GramChain(g_star=noisy, g=noisy, n=100,
-                              law=LaplaceGramLaw(2, 6.0, PrivacyBudget(1.0)))
-            out = pd_repair(chain, rng)
+            chain = GramChain(g_star=noisy, g=noisy, n=100, law=law)
+            out = pd_repair(chain)
             ok += np.linalg.eigvalsh(out.g)[0] > 0
         assert ok == 1000
 
@@ -207,7 +259,7 @@ class TestPdRepair:
 class TestSyntheticDataset:
     def test_reproduces_gram_exactly(self):
         gram = build_gram(toy_centered(p=3))
-        g_reg = pd_repair(gram, np.random.default_rng(0), r=0.0).g
+        g_reg = pd_repair(gram, r=0.0).g
         d_star = synthetic_dataset(g_reg, 80, np.random.default_rng(1))
         err = np.abs(d_star.T @ d_star - g_reg).max()
         assert err <= 1e-8 * np.abs(g_reg).max()
@@ -228,9 +280,9 @@ class TestSyntheticDataset:
 
     def test_posterior_from_synthetic_rows_matches_released_gram(self):
         gram = build_gram(toy_centered(p=3, seed=23))
-        chain = privatize_gram(gram, PrivacyBudget(5.0), Sensitivity(l1=1.0),
+        chain = privatize_gram(gram, gram_law(3, PrivacyBudget(5.0), Sensitivity(l1=1.0), 6),
                                np.random.default_rng(5))
-        chain = pd_repair(chain, np.random.default_rng(6))
+        chain = pd_repair(chain)
         d_star = synthetic_dataset(chain.g, 100, np.random.default_rng(7))
         stat = GPriorSpec.sample_size()
         direct = enumerate_posterior(chain.g, stat, n=chain.n)
@@ -317,7 +369,7 @@ class TestEnumeratePosterior:
         y = x @ beta + rng.standard_normal(n)
         data = RegressionData(y=y, x0=np.ones((n, 1)), x=x)
         c = reparametrize(data)
-        chain = pd_repair(build_gram(c), rng, r=0.0)
+        chain = pd_repair(build_gram(c), r=0.0)
         stat = GPriorSpec.sample_size()
         post = enumerate_posterior(chain.g, stat, n=chain.n)
 
@@ -439,7 +491,7 @@ class TestBatchedEnumeration:
     def test_noisy_matrix_counts_its_clamps(self):
         # Laplace noise without repair: some submodel R^2 leaves [0, 1).
         gram = build_gram(toy_centered(p=4, seed=50))
-        noisy = gram.g + LaplaceGramLaw(4, 30.0, PrivacyBudget(1.0)).sample(
+        noisy = gram.g + LaplaceGramLaw(4, 30.0, PrivacyBudget(1.0), seed=0).sample(
             np.random.default_rng(51))
         before = r2_clamp_counter.count
         post = enumerate_posterior(noisy, InfoCriterionSpec.bic(), n=gram.n)

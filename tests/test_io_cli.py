@@ -17,6 +17,7 @@ from dpms.cli import OPTIONS, REQUIRED, _resolve_argv, main, run_command
 from dpms.errors import ConfigError, DataError, RepairFailureError
 from dpms import io as dpms_io
 from dpms.io import hsb2_path, ingest_csv, load_hsb2, read_numeric_columns
+from dpms.mechanisms import CALIBRATION
 
 
 @pytest.fixture
@@ -83,6 +84,31 @@ def _write(tmp_path, text, name="in.csv"):
     path = tmp_path / name
     path.write_bytes(text.encode())
     return path
+
+
+class TestUnitBoxWarning:
+    """A private run's stderr must not depend on how many cells lie outside
+    the unit box."""
+
+    def _stderr(self, tmp_path, n_outside):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(-0.45, 0.45, size=(600, 3))
+        rows.flat[:n_outside] = 3.0
+        path = tmp_path / f"in{n_outside}.csv"
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x1,x2,y", comments="")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpms.cli", "select", "--input", str(path), "--response", "y",
+             "--x", "x1,x2", "--epsilon", "1", "--data-entry-bound", "0.5", "--prior", "bic",
+             "--seed", "1", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_stderr_carries_no_count(self, tmp_path):
+        one = self._stderr(tmp_path, 1)
+        assert "outside (-0.5, 0.5)" in one
+        assert one == self._stderr(tmp_path, 500)
 
 
 class TestFastIngest:
@@ -390,6 +416,29 @@ class TestRunCommand:
         run_command(cfg2)
         assert ((tmp_path / "sim" / "mse_table.csv").read_bytes()
                 == (tmp_path / "sim2" / "mse_table.csv").read_bytes())
+
+
+class TestInvocationScope:
+    """Each command builds its laws, and so draws their calibrations, anew:
+    nothing carries over from an earlier command in the same process."""
+
+    def _run(self, out, seed):
+        assert main(["simulate", "--p", "3", "--n", "400", "--snr", "1", "--n-active", "1",
+                     "--n-datasets", "2", "--epsilon", "1", "--prior", "bic",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        return {path.name: [line for line in path.read_text().splitlines()
+                            if "generated_at" not in line]
+                for path in sorted(out.iterdir())}
+
+    def test_seed_alone_sets_the_calibration(self, tmp_path):
+        first = self._run(tmp_path / "a", 21)
+        other = self._run(tmp_path / "b", 22)
+        again = self._run(tmp_path / "a", 21)
+        calibration = lambda arts: json.loads("\n".join(arts["sim_summary.json"]))["calibration"]
+        for law in ("laplace", "wishart"):
+            assert calibration(first)[law]["r"] != calibration(other)[law]["r"]
+        assert calibration(first)["stream"] == [CALIBRATION]
+        assert again == first
 
 
 class TestCliEntry:

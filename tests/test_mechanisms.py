@@ -7,6 +7,7 @@ import pytest
 
 from dpms.errors import ConfigError, EmptyRegionError, NumericError, WrongMechanismError
 from dpms.mechanisms import (
+    CALIBRATION,
     LaplaceGramLaw,
     NoiseScale,
     PrivacyBudget,
@@ -209,7 +210,7 @@ class TestWishartGramError:
         rng = np.random.default_rng(7)
         n_draws = 10_000
         single = np.array([wishart_gram_error(2, budget, 1.0, rng) for _ in range(n_draws)])
-        stacked = WishartGramLaw(2, k, 1.0, budget).sample(rng, n_draws)
+        stacked = WishartGramLaw(2, k, 1.0, budget, seed=0).sample(rng, n_draws)
         # Var(M_ij) = k (1 + delta_ij) for unit scale.
         se = np.sqrt(k * (np.eye(3) + 1.0) / n_draws)
         for draws in (single, stacked):
@@ -220,7 +221,7 @@ class TestWishartGramError:
         k = wishart_dof(1, budget)
         rng = np.random.default_rng(8)
         single = np.array([wishart_gram_error(1, budget, 1.0, rng) for _ in range(10_000)])
-        stacked = WishartGramLaw(1, k, 1.0, budget).sample(rng, 10_000)
+        stacked = WishartGramLaw(1, k, 1.0, budget, seed=0).sample(rng, 10_000)
         for draws in (single, stacked):
             diags = np.diagonal(draws, axis1=1, axis2=2)
             assert diags.var(axis=0) == pytest.approx(2.0 * k, rel=0.1)
@@ -232,9 +233,9 @@ class TestWishartGramError:
 
 GRAM_LAWS = {
     "zero": ZeroGramLaw(2),
-    "laplace": LaplaceGramLaw(2, 0.8, PrivacyBudget(1.0)),
+    "laplace": LaplaceGramLaw(2, 0.8, PrivacyBudget(1.0), seed=30),
     "wishart": WishartGramLaw(2, wishart_dof(2, PrivacyBudget(2.0, 0.5)), 0.7,
-                              PrivacyBudget(2.0, 0.5)),
+                              PrivacyBudget(2.0, 0.5), seed=30),
 }
 
 
@@ -242,7 +243,7 @@ class TestNoiseLaws:
     @pytest.mark.parametrize("name", GRAM_LAWS)
     def test_central_set_draws_are_members(self, name):
         rng = np.random.default_rng(30)
-        acc = GRAM_LAWS[name].central_set(0.1, rng)
+        acc = GRAM_LAWS[name].central_set(0.1)
         draws = list(acc.draws(200, rng))
         assert len(draws) == (1 if name == "zero" else 200)
         assert all(acc.contains(e) for e in draws)
@@ -262,7 +263,7 @@ class TestNoiseLaws:
         if name == "wishart":
             eps += math.sqrt(math.log(2e6) / (2 * 100_000))
         rng = np.random.default_rng(31)
-        x = law.offdiag_abs_quantile(q, rng)
+        x = law.offdiag_abs_quantile(q)
         entries = np.abs([law.sample(rng)[0, 1] for _ in range(n)])
         assert np.mean(entries < x) <= q + eps
         assert np.mean(entries <= x) >= q - eps
@@ -301,13 +302,13 @@ class TestStackedGramDraws:
         assert np.array_equal(stacked, np.stack([box.draws(1, rng)[0] for _ in range(40)]))
 
     def test_wishart_ball_draws_n_members(self):
-        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3, np.random.default_rng(35))
+        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3)
         draws = ball.draws(60, np.random.default_rng(36))
         assert draws.shape == (60, 3, 3)
         assert all(ball.contains(e) for e in draws)
 
     def test_wishart_ball_below_every_norm_stalls(self):
-        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3, np.random.default_rng(35))
+        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3)
         ball.radius = -1.0
         with pytest.raises(EmptyRegionError):
             ball.draws(5, np.random.default_rng(36))
@@ -333,3 +334,9 @@ class TestChildRng:
         a = child_rng(123, 0).standard_normal(4)
         b = child_rng(123, 1).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    def test_calibration_streams_differ_from_one_level_streams(self):
+        # Release (k = 1) and replication (k = rep) streams have one-level keys.
+        one_level = {tuple(child_rng(123, k).random(4)) for k in range(1000)}
+        for j in range(3):
+            assert tuple(child_rng(123, CALIBRATION, j).random(4)) not in one_level

@@ -12,7 +12,7 @@ from dpms.linmodel import (
     RegressionData,
     reparametrize,
 )
-from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity
+from dpms.mechanisms import LaplaceGramLaw, PrivacyBudget, Sensitivity, gram_law
 from dpms.regions import (
     Functional,
     RegionConfig,
@@ -33,7 +33,7 @@ def toy_gram(p=2, n=200, seed=0, beta_scale=0.4):
 
 
 def laplace_chain(gram, epsilon=1.0, seed=1):
-    return privatize_gram(gram, PrivacyBudget(epsilon), Sensitivity(l1=0.5),
+    return privatize_gram(gram, gram_law(gram.p, PrivacyBudget(epsilon), Sensitivity(l1=0.5), 0),
                           np.random.default_rng(seed))
 
 
@@ -65,7 +65,8 @@ class TestSampleRegion:
 
     def test_empty_region_error(self):
         g = -100.0 * np.eye(3)
-        chain = GramChain(g_star=g, g=g, n=50, law=LaplaceGramLaw(2, 0.01, PrivacyBudget(1.0)))
+        law = LaplaceGramLaw(2, 0.01, PrivacyBudget(1.0), seed=0)
+        chain = GramChain(g_star=g, g=g, n=50, law=law)
         cfg = RegionConfig(alpha=0.05, nsamples=100)
         with pytest.raises(EmptyRegionError):
             sample_region(chain, cfg, np.random.default_rng(5))
@@ -79,19 +80,19 @@ class TestSampleRegion:
         reps = 400
         for i in range(reps):
             chain = laplace_chain(gram, seed=1000 + i)
-            hits += region_contains(chain, gram.g, cfg, np.random.default_rng(8))
+            hits += region_contains(chain, gram.g, cfg)
         phat = hits / reps
         se = np.sqrt(0.9 * 0.1 / reps)
         assert abs(phat - 0.9) <= 3 * se
 
     def test_wishart_ball_contains_and_samples(self):
         gram = toy_gram(p=2, seed=9)
-        chain = privatize_gram(gram, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9),
+        chain = privatize_gram(gram, gram_law(2, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9), 10),
                                np.random.default_rng(9))
         cfg = RegionConfig(alpha=0.2, nsamples=100)
         from dpms.mechanisms import _WishartBall
 
-        ball = _WishartBall(chain.law, cfg.alpha, np.random.default_rng(10))
+        ball = _WishartBall(chain.law, cfg.alpha)
         inside = sum(ball.contains(ball.draws(1, np.random.default_rng(100 + i))[0])
                      for i in range(20))
         assert inside == 20

@@ -16,9 +16,11 @@ absolute and relative difference over its numeric fields, then any
 non-numeric field that differs and any field or file present on one side
 only.  For a CSV it also names the data rows that moved and, over those
 rows, the distinct values of each non-numeric column (``method: WM,
-WMT``).  ``generated_at`` is ignored.  It reports; it applies no
-tolerance.  The exit status is 1 when a command's exit code differs
-between the sides, 0 otherwise.
+WMT``).  ``generated_at`` is ignored.  The last line counts the
+identical artifacts, the moved ones, those on one side only and the
+commands whose exit codes differ.  It reports; it applies no tolerance.
+The exit status is 1 when a command's exit code differs between the
+sides, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ def main(argv=None) -> int:
     for src in srcs.values():
         if not (src / "dpms" / "cli.py").exists():
             parser.error(f"{src} holds no dpms package")
-    status = 0
+    tally = dict.fromkeys(("identical", "moved", "one side only", "exit-code mismatches"), 0)
     with tempfile.TemporaryDirectory(prefix="dpms-compare-") as tmp:
         work = Path(tmp)
         box = work / "box.csv"
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
             if codes["parent"] != codes["change"]:
                 print(f"{name}: exit code {codes['parent']} (parent) "
                       f"vs {codes['change']} (change)")
-                status = 1
+                tally["exit-code mismatches"] += 1
                 continue
             dirs = {side: work / side / "out" / name for side in srcs}
             files = sorted({p.name for d in dirs.values() if d.exists() for p in d.iterdir()})
@@ -274,9 +276,13 @@ def main(argv=None) -> int:
                 a, b = dirs["parent"] / fname, dirs["change"] / fname
                 if not (a.exists() and b.exists()):
                     print(f"{name}/{fname}: only in {'parent' if a.exists() else 'change'}")
+                    tally["one side only"] += 1
                     continue
-                print(f"{name}/{fname}: {compare_file(a, b)}", flush=True)
-    return status
+                verdict = compare_file(a, b)
+                tally["identical" if verdict == "identical" else "moved"] += 1
+                print(f"{name}/{fname}: {verdict}", flush=True)
+    print("summary: " + ", ".join(f"{count} {label}" for label, count in tally.items()))
+    return int(tally["exit-code mismatches"] > 0)
 
 
 if __name__ == "__main__":
