@@ -11,6 +11,12 @@ from it, with confidence regions over the injected noise
 (:mod:`dpms.regions`).
 """
 
+# numpy loads these lazily: numpy.random on first use, numpy.ma on the first
+# np.quantile.  Every command needs both, so load them with the package and
+# keep their cost out of a process's first command.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .calibration import (
     EmpiricalNull,
     NullSimConfig,

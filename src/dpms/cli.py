@@ -281,7 +281,7 @@ def _cmd_calibrate(cfg: dict, out: Path) -> None:
     else:
         null = simulate_null_pvalue(null_cfg(), rng)
     write_csv(out / "null_quantiles.csv", ["prob", "value"],
-              [[repr(q), repr(v)] for q, v in quantile_table(null)])
+              quantile_table(null))
     record = {
         "statistic": statistic,
         "alpha": cfg["alpha"],
@@ -343,8 +343,7 @@ def _cmd_select(cfg: dict, out: Path) -> None:
     if cfg["synthetic_n"]:
         d_star = synthetic_dataset(chain.g, cfg["synthetic_n"], rng)
         header = [f"v{j + 1}" for j in range(data.p)] + ["z"]
-        write_csv(out / "synthetic.csv", header,
-                  [[repr(float(v)) for v in row] for row in d_star])
+        write_csv(out / "synthetic.csv", header, d_star.tolist())
 
 
 def _parse_functional(raw: str, p: int) -> Functional:
@@ -368,8 +367,7 @@ def _cmd_region(cfg: dict, out: Path) -> None:
     write_csv(
         out / "histogram.csv",
         ["bin_edge_lo", "bin_edge_hi", "count"],
-        [[repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1])),
-          int(hist.counts[i])] for i in range(hist.counts.shape[0])],
+        zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(), hist.counts.tolist()),
     )
     write_json_record(out / "region.json", {
         "mean": hist.mean,
@@ -401,9 +399,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
         out / "mse_table.csv",
         ["snr", "epsilon", "replication", "method", "mse", "mse_full",
          "relative_mse", "inclusion_l2"],
-        [[rec.snr, rec.epsilon, rec.replication, rec.method, repr(rec.mse),
-          repr(rec.mse_full), repr(rec.relative_mse), repr(rec.inclusion_l2)]
-         for rec in records],
+        [[rec.snr, rec.epsilon, rec.replication, rec.method, rec.mse, rec.mse_full,
+          rec.relative_mse, rec.inclusion_l2] for rec in records],
     )
     methods = sorted({rec.method for rec in records})
     means = {method: float(np.mean([r.mse for r in records if r.method == method]))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     ConfigError,
@@ -185,7 +184,7 @@ def synthetic_dataset(g_reg: np.ndarray, n: int, rng: np.random.Generator) -> np
             if attempt == 1:
                 raise NumericError("centered uniform matrix was rank deficient twice")
             continue
-        return uc @ solve_triangular(chol_w, chol_g, lower=False)
+        return uc @ np.linalg.solve(chol_w, chol_g)
     raise NumericError("unreachable")  # pragma: no cover
 
 

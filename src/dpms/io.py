@@ -167,21 +167,27 @@ def write_json_record(path, record: dict) -> None:
         fh.write("\n")
 
 
+def _csv_cell(v) -> str:
+    return "" if v is None else v if isinstance(v, str) else repr(v)
+
+
 def write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV artifact: the header, then one line per row.
+
+    A cell is a number, written as its repr, None, written empty, or a
+    str that needs no quoting, written as it is.  Lines end in CRLF, so
+    the bytes are those of ``csv.writer`` for such cells.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\r\n" for row in rows)
 
 
 def posterior_csv_rows(posterior) -> list[list]:
     """One row per model: bitmask string, log marginal, posterior mass."""
-    rows = []
-    for gamma in range(posterior.posterior.shape[0]):
-        mask = format(gamma, f"0{posterior.p}b")[::-1]  # bit j = predictor j
-        rows.append([mask, repr(float(posterior.log_marginals[gamma])),
-                     repr(float(posterior.posterior[gamma]))])
-    return rows
+    masks = (format(gamma, f"0{posterior.p}b")[::-1]  # bit j = predictor j
+             for gamma in range(posterior.posterior.shape[0]))
+    return [[mask, lm, pp] for mask, lm, pp in
+            zip(masks, posterior.log_marginals.tolist(), posterior.posterior.tolist())]

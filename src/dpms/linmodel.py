@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr as _qr
-from scipy.special import expit
 
 from .errors import ConfigError, DataError, DegenerateResponseError, NumericError, RankError
 
@@ -31,6 +29,15 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-10
+
+
+def expit(x):
+    """The logistic function 1/(1 + e^-x) of a scalar or an array.
+
+    Where e^-x overflows the result is 0, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _check_full_rank(m: np.ndarray, what: str) -> None:
@@ -100,16 +107,16 @@ class CenteredData:
 def reparametrize(data: RegressionData) -> CenteredData:
     """Project y and x onto the orthogonal complement of x0.
 
-    Uses a QR factorization of x0; the projector is never formed
-    explicitly.  Raises RankError naming the first dependent column if x0
-    is rank deficient.
+    Uses an unpivoted QR factorization of x0; the projector is never
+    formed explicitly.  Raises RankError if x0 is rank deficient, naming
+    the first column whose |diag R| is at most 1e-10 times the largest:
+    a column in the span of the columns before it.
     """
-    x0 = data.x0
-    q, r, piv = _qr(x0, mode="economic", pivoting=True)
+    q, r = np.linalg.qr(data.x0)
     diag = np.abs(np.diag(r))
-    bad = np.flatnonzero(diag <= _RANK_RTOL * diag[0])
+    bad = np.flatnonzero(diag <= _RANK_RTOL * diag.max())
     if bad.size:
-        col = int(piv[bad[0]])
+        col = int(bad[0])
         raise RankError(f"common predictor block x0 is rank deficient at column {col}", column=col)
     z = data.y - q @ (q.T @ data.y)
     v = data.x - q @ (q.T @ data.x)

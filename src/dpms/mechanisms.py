@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import ConfigError, EmptyRegionError, NumericError, WrongMechanismError
 
@@ -132,16 +131,39 @@ def child_rng(root_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(indices)))
 
 
+_SQRT_HALF = math.sqrt(0.5)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_ndtr(a: float) -> float:
+    """log Phi(a), the log of the standard normal CDF, for any float a.
+
+    Phi(a) = erfc(-a/sqrt 2)/2.  Below a = -30, where erfc nears its
+    underflow (at a = -37.5), the asymptotic series
+    Phi(a) = phi(a)/|a| (1 - 1/a^2 + 3/a^4 - ...) is used; its first
+    omitted term there is below 1e-17.
+    """
+    if a < -30.0:
+        x2, term, total = a * a, 1.0, 1.0
+        for k in range(1, 8):
+            term *= -(2 * k - 1) / x2
+            total += term
+        return -0.5 * x2 - math.log(-a) - _HALF_LOG_2PI + math.log(total)
+    if a < -1.0:
+        return math.log(0.5 * math.erfc(-a * _SQRT_HALF))
+    return math.log1p(-0.5 * math.erfc(a * _SQRT_HALF))
+
+
 def _gaussian_delta(sigma: float, epsilon: float, l2: float) -> float:
     """Exact privacy loss delta of the Gaussian mechanism at scale sigma.
 
     delta(sigma) = Phi(l2/(2 sigma) - eps sigma/l2)
                    - e^eps Phi(-l2/(2 sigma) - eps sigma/l2),
-    evaluated through log_ndtr so the e^eps factor cannot overflow.
+    evaluated through log Phi so the e^eps factor cannot overflow.
     """
     a = l2 / (2.0 * sigma) - epsilon * sigma / l2
     b = -l2 / (2.0 * sigma) - epsilon * sigma / l2
-    return float(np.exp(log_ndtr(a)) - np.exp(epsilon + log_ndtr(b)))
+    return float(np.exp(_log_ndtr(a)) - np.exp(epsilon + _log_ndtr(b)))
 
 
 def classical_gaussian_sigma(budget: PrivacyBudget, l2: float) -> float:

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DataError, RankError, SplitInfeasibleError
-from .linmodel import _RANK_RTOL, GPriorSpec, InfoCriterionSpec, RegressionData, log_stat
+from .linmodel import _RANK_RTOL, GPriorSpec, InfoCriterionSpec, RegressionData, expit, log_stat
 # Bound here because perfbench/tracing.py wraps them under dpms.split_aggregate.
 from .linmodel import log_bayes_factor, log_info_criterion, r_squared, reparametrize  # noqa: F401
 from .mechanisms import NoiseScale, PrivacyBudget, subsample_noise_scale

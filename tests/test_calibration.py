@@ -54,6 +54,30 @@ class TestCriticalValue:
         assert critical_value(null, 0.05) == pytest.approx(3.841, abs=0.05)
 
 
+class TestPchip:
+    """The numpy PCHIP against scipy's, which it reproduces bit for bit, on
+    evenly spaced knots: at and between them, a float either side of each,
+    and beyond both ends."""
+
+    @pytest.mark.parametrize("y", [
+        np.zeros(12),                                           # flat
+        np.r_[np.zeros(4), np.ones(4), np.zeros(4)],            # flat runs, steps
+        np.sin(np.linspace(0.0, 9.0, 40)),                      # sign-changing slopes
+        np.cumsum(np.random.default_rng(1).standard_normal(60)),
+        np.array([0.0, 1.0, 0.5]),                              # three knots
+    ], ids=["flat", "steps", "sine", "walk", "three"])
+    def test_bitwise_equal_to_scipy(self, y):
+        from scipy.interpolate import PchipInterpolator
+
+        from dpms.calibration import _Pchip
+
+        x = np.linspace(-1.5, 10.0, y.size)
+        v = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.nextafter(x, -np.inf),
+                            np.nextafter(x, np.inf), [x[0] - 3.0, x[-1] + 3.0],
+                            np.random.default_rng(2).uniform(-2.0, 12.0, 20_000)])
+        np.testing.assert_array_equal(_Pchip(x[0], x[-1], y)(v), PchipInterpolator(x, y)(v))
+
+
 class TestPValue:
     def test_below_all_samples(self):
         null = _null(np.arange(1, 1001))
@@ -139,6 +163,22 @@ class TestSimulateNullBf:
         for r2 in (0.01, 0.2, 0.55, 0.9):
             direct = log_bayes_factor(r2, 80, 2, 1, GPriorSpec.zellner_siow())
             assert float(interp(np.log1p(-np.array([r2])))[0]) == pytest.approx(direct, abs=1e-6)
+
+    def test_zs_interpolator_is_scipy_pchip_bitwise(self):
+        from scipy.interpolate import PchipInterpolator
+
+        from dpms.calibration import _zs_interpolator
+        from dpms.linmodel import log_stat
+
+        interp = _zs_interpolator(80, 2, 1)
+        t = np.linspace(math.log(1e-12), 0.0, 2000)
+        ref = PchipInterpolator(t, log_stat(-np.expm1(t), 80, 2, 1, GPriorSpec.zellner_siow())[0])
+        beyond = [t[0] - 10.0, t[0] - 1e-9, 1e-9, 2.0, np.nextafter(0.0, 1.0)]
+        v = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), np.nextafter(t, -np.inf),
+                            np.nextafter(t, np.inf), beyond,
+                            np.random.default_rng(0).uniform(-35.0, 1.0, 20_000)])
+        np.testing.assert_array_equal(interp(v), ref(v))
+        assert interp(v[:15].reshape(5, 3)).shape == (5, 3)
 
     def test_subset_sizes_required(self):
         cfg = NullSimConfig(M=2, bounds=WIDE, budget=PrivacyBudget(1.0), nsim=10)

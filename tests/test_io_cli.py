@@ -821,3 +821,43 @@ def test_flags_and_config_file_resolve_to_the_same_config(command, data):
     assert from_flags == from_file
     assert json.dumps(from_flags, sort_keys=True) == json.dumps(from_file, sort_keys=True)
     assert {option.dest for option, _ in chosen} <= set(from_flags)
+
+
+_COMMAND_PATHS = """
+import json, sys
+import dpms, dpms.cli
+for argv in json.loads(sys.argv[1]):
+    assert dpms.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_no_command_path_imports_scipy(tmp_path):
+    """dpms runs on numpy alone: in a fresh process, importing the package
+    and running every command, with the Zellner-Siow and analytic-Gaussian
+    paths among them, loads no scipy module."""
+    hsb2 = ["--input", str(hsb2_path()), "--response", "math", "--x", "read,science",
+            "--data-entry-bound", "80", "--seed", "3"]
+    calibrate = ["calibrate", "--M", "5", "--L", "-10", "--U", "5", "--epsilon", "1",
+                 "--nsim", "2000", "--seed", "9"]
+    commands = [
+        ["select", *hsb2, "--epsilon", "2000", "--prior", "zs", "--synthetic-n", "50"],
+        ["select", *hsb2, "--epsilon", "2000", "--delta", "1e-5", "--row-norm-bound", "139",
+         "--prior", "bic"],
+        ["region", *hsb2, "--epsilon", "2000", "--nsamples", "100", "--prior", "zs"],
+        ["region", *hsb2, "--epsilon", "2000", "--delta", "1e-5", "--row-norm-bound", "139",
+         "--nsamples", "100", "--prior", "bic"],
+        ["simulate", "--p", "3", "--n", "400", "--snr", "1", "--n-active", "1",
+         "--n-datasets", "1", "--epsilon", "1", "--prior", "zs", "--seed", "21"],
+        ["test", "--input", str(hsb2_path()), "--response", "math", "--x", "gender",
+         "--epsilon", "10", "--delta", "1e-5", "--M", "10", "--prior", "zs", "--seed", "1"],
+        [*calibrate, "--statistic", "bf", "--prior", "zs", "--n", "500", "--p", "2",
+         "--p0", "1"],
+        [*calibrate, "--statistic", "lrt", "--df", "1", "--delta", "0.25"],
+    ]
+    for i, argv in enumerate(commands):
+        argv += ["--out", str(tmp_path / f"o{i}")]
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_PATHS, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

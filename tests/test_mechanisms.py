@@ -23,7 +23,7 @@ from dpms.mechanisms import (
     wishart_dof,
     wishart_gram_error,
 )
-from dpms.mechanisms import _gaussian_delta, _LaplaceBox, _WishartBall
+from dpms.mechanisms import _gaussian_delta, _LaplaceBox, _log_ndtr, _WishartBall
 from dpms.split_aggregate import CensorBounds, aggregate_private
 
 
@@ -92,7 +92,42 @@ class TestLaplaceNoise:
         assert a == b
 
 
+def _scipy_gaussian_sigma(eps, delta):
+    """Bisection for the analytic-Gaussian sigma (l2 = 1) on scipy's log_ndtr."""
+    from scipy.special import log_ndtr
+
+    def loss(s):
+        return np.exp(log_ndtr(0.5 / s - eps * s)) - np.exp(eps + log_ndtr(-0.5 / s - eps * s))
+
+    hi = 1.0
+    while loss(hi) > delta:
+        hi *= 2.0
+    lo = hi
+    while loss(lo) <= delta:
+        lo /= 2.0
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if loss(mid) <= delta else (mid, hi)
+    return hi
+
+
 class TestAnalyticGaussian:
+    def test_log_ndtr_matches_scipy(self):
+        from scipy.special import log_ndtr
+
+        a = np.concatenate([np.linspace(-1e4, 40.0, 200_001), np.linspace(-40.0, -20.0, 20_001),
+                            -np.geomspace(1e-3, 1e4, 2_001), np.geomspace(1e-3, 40.0, 2_001)])
+        got = np.array([_log_ndtr(float(v)) for v in a])
+        # Where Phi(a) is within a subnormal of 1 the log is 0 to any use.
+        np.testing.assert_allclose(got, log_ndtr(a), rtol=1e-13, atol=1e-300)
+
+    def test_sigma_matches_scipy_bisection(self):
+        for eps in np.geomspace(0.01, 1000.0, 11):
+            for delta in np.geomspace(1e-12, 0.5, 9):
+                sigma = analytic_gaussian_sigma(PrivacyBudget(eps, delta), 1.0)
+                assert sigma == pytest.approx(_scipy_gaussian_sigma(eps, delta), rel=1e-12)
+                assert _gaussian_delta(sigma, eps, 1.0) <= delta
+
     def test_residual_against_fine_grid_scan(self):
         budget = PrivacyBudget(1.0, 1e-6)
         sigma = analytic_gaussian_sigma(budget, 1.0)
