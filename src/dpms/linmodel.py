@@ -245,9 +245,10 @@ def log_stat(
             np.full_like(r2, g / (1.0 + g)))
 
 
-# Most step halvings of the ZS rule; most integrand values in one evaluation.
+# Most step halvings of the ZS rule; most integrand values in one evaluation
+# (an evaluation holds about four arrays of this size, 1 MB each, at once).
 ZS_HALVINGS = 8
-_ZS_VALUES = 2**18
+_ZS_VALUES = 2**17
 
 
 def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,23 +264,39 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
     [-40, 80 + log n] finds the mode, and with w = min(1, (-l''(mode))^-1/2)
     the trapezoid rule in t, s = mode + w sinh(t), t in [-6, 6], converges
     geometrically in the step (Takahasi & Mori 1974); the cap acts near a = 1/2,
-    where l is almost flat and l''(mode) near 0.  The step starts at 1/8 and
-    halves, reusing the earlier nodes, until two successive sums agree to
-    1e-8 relative; a value keeps its first converged result, so a stack of
-    values gives bitwise the results of one call per value.  The shrinkage,
-    the posterior mean of g/(1+g) = sigma(s), uses the same nodes.  Tails
-    not negligible at t = +-6, or no convergence after ZS_HALVINGS
-    halvings, raise a NumericError carrying r2, n, p and p0.
+    where l is almost flat and l''(mode) near 0.  Since a - b = -p/2, l is
+    evaluated as
+        l(s) = a log1p(R^2 sigma_r / (1-R^2)) - (p/2) log1p(u) - s/2 - (n/2) e^(-s),
+    with u = e^s (1-R^2) and R^2 sigma_r / (1-R^2) = R^2 e^s / (1 + u): the
+    form above subtracts two terms near n s / 2, whose rounding would cost
+    about 1e-16 n s / 2 in l (1e-12 relative in the log integral at n = 1e8).
+    The step starts at 1/8 and halves, reusing the earlier nodes, until two
+    successive sums agree to 1e-8 relative; a value keeps its first
+    converged result, so a stack of values gives bitwise the results of one
+    call per value.  The shrinkage, the posterior mean of g/(1+g) =
+    sigma(s), uses the same nodes.  Tails not negligible at t = +-6, or no
+    convergence after ZS_HALVINGS halvings, raise a NumericError carrying
+    r2, n, p and p0.
     """
     if p < 1:
         raise DataError(f"the tested block must have p >= 1 columns, got {p}")
     flat = np.asarray(r2, dtype=float).ravel()
     a, b, shift = 0.5 * (n - p - p0), 0.5 * (n - p0), np.log1p(-flat)
 
-    def ell(s, shift):
-        # Capping e^(-s) only touches nodes already e^(-1e260) below the peak.
-        return (a * np.logaddexp(0.0, s) - b * np.logaddexp(0.0, s + shift) - 0.5 * s
-                - 0.5 * n * np.exp(-np.maximum(s, -600.0)))
+    def ell(s, r2):
+        # Nodes lie within w sinh(6) < 202 of a mode in [-40, 80 + log n], so
+        # e^s cannot overflow; capping e^(-s) only touches nodes already
+        # e^(-1e260) below the peak.  In place, to hold few arrays at once.
+        g = np.exp(s)
+        u = g * (1.0 - r2)
+        g *= r2
+        g /= 1.0 + u
+        out = np.log1p(g, out=g)
+        out *= a
+        out -= 0.5 * p * np.log1p(u, out=u)
+        out -= 0.5 * s
+        out -= 0.5 * n * np.exp(-np.maximum(s, -600.0))
+        return out
 
     mode, step = np.full_like(flat, -40.0), 120.0 + math.log(n)
     for _ in range(18):
@@ -290,9 +307,9 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
     # expit(-x) is 1 - expit(x) without the cancellation.
     w = np.minimum(1.0, (0.5 * n * np.exp(-mode) - a * expit(mode) * expit(-mode)
                          + b * expit(mode + shift) * expit(-mode - shift)) ** -0.5)
-    peak = ell(mode, shift)
+    peak = ell(mode, flat)
     ends = mode + np.array([[-1.0], [1.0]]) * (w * math.sinh(6.0))
-    wide = np.flatnonzero(ell(ends, shift).max(axis=0) - peak > math.log(1e-16 / math.cosh(6.0)))
+    wide = np.flatnonzero(ell(ends, flat).max(axis=0) - peak > math.log(1e-16 / math.cosh(6.0)))
     if wide.size:
         raise NumericError("Zellner-Siow integrand is not negligible at the ends of its range",
                            {"r2": float(flat[wide[0]]), "n": n, "p": p, "p0": p0})
@@ -307,7 +324,7 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
         for j in range(0, idx.size, block):
             rows = idx[j:j + block]
             s = mode[rows, None] + w[rows, None] * np.sinh(t)
-            f = np.exp(ell(s, shift[rows, None]) - peak[rows, None]) * np.cosh(t)
+            f = np.exp(ell(s, flat[rows, None]) - peak[rows, None]) * np.cosh(t)
             more[:, j:j + block] = f.sum(axis=1), (expit(s) * f).sum(axis=1)
         done = np.abs(more[0] - total[0]) <= 1e-8 * (total[0] + more[0])
         total += more

@@ -104,12 +104,13 @@ def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig) -> 
 
     G is in the region iff the implied error G* - G falls in the central
     acceptance set (and G is positive definite, which holds for any true
-    Gram matrix of a full-rank design).
+    Gram matrix of a full-rank design).  A matrix that is not positive
+    definite is refused before the set, and any calibration it needs, is
+    built.
     """
-    acc = chain.law.central_set(cfg.alpha)
     if np.linalg.eigvalsh(np.asarray(g_true))[0] <= 0.0:
         return False
-    return acc.contains(chain.g_star - g_true)
+    return chain.law.central_set(cfg.alpha).contains(chain.g_star - g_true)
 
 
 @dataclass(frozen=True)

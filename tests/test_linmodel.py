@@ -59,6 +59,36 @@ def quad_zs(r2, n, k, p0):
     return peak + math.log(mass), first / mass
 
 
+def mpmath_zs_log_integral(r2, n, k, p0):
+    """Zellner-Siow log integral by mpmath.quad at 30 digits, where the
+    integrand's two large log terms cancel without loss; the mode comes
+    from bisecting the slope and the pieces from its curvature there."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, b, r2, n = mp.mpf(n - k - p0) / 2, mp.mpf(n - p0) / 2, mp.mpf(r2), mp.mpf(n)
+
+        def ell(s):
+            g = mp.exp(s)
+            return a * mp.log1p(g) - b * mp.log1p(g * (1 - r2)) - s / 2 - n / (2 * g)
+
+        def slope(s):
+            g = mp.exp(s)
+            return a * g / (1 + g) - b * g * (1 - r2) / (1 + g * (1 - r2)) - 0.5 + n / (2 * g)
+
+        lo, hi = mp.mpf(-40), 80 + mp.log(n)
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        h = mp.mpf("1e-8")
+        curvature = (ell(lo + h) - 2 * ell(lo) + ell(lo - h)) / h**2
+        width = min(mp.mpf(1), 1 / mp.sqrt(-curvature))
+        pieces = [lo + width * mp.sinh(t) for t in range(-8, 9)]
+        peak = ell(lo)
+        assert max(ell(pieces[0]), ell(pieces[-1])) - peak < -80
+        mass = mp.quad(lambda s: mp.exp(ell(s) - peak), pieces)
+        return float(peak + mp.log(mass) + mp.log(n / (2 * mp.pi)) / 2)
+
+
 def test_expit_within_two_ulp_of_scipy():
     from scipy.special import expit as scipy_expit
 
@@ -236,6 +266,14 @@ class TestLogBayesFactor:
         want_log, want_shrink = quad_zs(r2, n, k, p0)
         assert log_bf == pytest.approx(want_log, rel=1e-8, abs=1e-8)
         assert shrink == pytest.approx(want_shrink, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [10**4, 10**6, 10**8])
+    @pytest.mark.parametrize("r2", [0.001, 0.05, 0.3])
+    def test_zellner_siow_at_large_n_against_mpmath(self, r2, n):
+        # Written as a log(1 + e^s) - b log(1 + e^s (1-R^2)), the integrand
+        # loses about 1e-16 n s / 2 to cancellation: 1e-12 relative at 1e8.
+        log_bf, _ = _zs_quadrature(r2, n, 3, 1)
+        assert log_bf == pytest.approx(mpmath_zs_log_integral(r2, n, 3, 1), rel=1e-15, abs=0)
 
     def test_zellner_siow_non_convergence_is_numeric_error(self, monkeypatch):
         monkeypatch.setattr(linmodel, "ZS_HALVINGS", 0)

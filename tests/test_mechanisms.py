@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpms import mechanisms
 from dpms.errors import ConfigError, EmptyRegionError, NumericError, WrongMechanismError
 from dpms.mechanisms import (
     CALIBRATION,
@@ -23,7 +26,15 @@ from dpms.mechanisms import (
     wishart_dof,
     wishart_gram_error,
 )
-from dpms.mechanisms import _gaussian_delta, _LaplaceBox, _log_ndtr, _WishartBall
+from dpms.mechanisms import (
+    _gaussian_delta,
+    _LaplaceBox,
+    _log_ndtr,
+    _screened_quantile,
+    _spectral_norm_bounds,
+    _spectral_norms,
+    _WishartBall,
+)
 from dpms.split_aggregate import CensorBounds, aggregate_private
 
 
@@ -357,6 +368,107 @@ class TestStackedGramDraws:
         a[np.diag_indices(3)] = np.sqrt(rng.chisquare(law.k - np.arange(3)))
         want = law.l2**2 * (a @ a.T) - law.k * law.l2**2 * np.eye(3)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _eigvalsh_norms(e):
+    return np.abs(np.linalg.eigvalsh(e)).max(axis=-1)
+
+
+def _eigvalsh_radius(law, alpha):
+    """The ball radius from an eigvalsh on every calibration draw."""
+    rng = child_rng(law.seed, CALIBRATION, 2)
+    norms = np.concatenate([_eigvalsh_norms(e) for e in
+                            mechanisms.draw_chunks(law, mechanisms.QUANTILE_DRAWS, rng)])
+    return float(np.quantile(norms, 1.0 - alpha))
+
+
+def _eigvalsh_ball_draws(ball, n, rng):
+    """The ball's rejection sampling with an eigvalsh on every draw."""
+    kept, found = [], 0
+    while found < n:
+        e = ball.law.sample(rng, mechanisms.DRAW_CHUNK)
+        e = e[_eigvalsh_norms(e) <= ball.radius]
+        kept.append(e)
+        found += len(e)
+    return np.concatenate(kept)[:n]
+
+
+# Spectra of the property test, every |eigenvalue| at most 1.
+_SPECTRA = {
+    "generic": lambda rng, m: rng.uniform(-1.0, 1.0, m),
+    "plus-minus": lambda rng, m: np.concatenate([[1.0, -1.0], rng.uniform(-0.9, 0.9, m - 2)]),
+    "repeated-top": lambda rng, m: np.concatenate([np.ones(m // 2 + 1),
+                                                   rng.uniform(-0.5, 0.5, m - m // 2 - 1)]),
+    "rank-one": lambda rng, m: np.concatenate([[-1.0], np.zeros(m - 1)]),
+    "zero": lambda rng, m: np.zeros(m),
+}
+
+
+class TestSpectralNormScreen:
+    """Trace bounds bracket every eigvalsh norm, and the ball's radius and
+    draws equal those of an eigvalsh on every draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(2, 21), kind=st.sampled_from(sorted(_SPECTRA)),
+           exponent=st.floats(-150.0, 150.0), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_bracket_the_eigvalsh_norm(self, m, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        stack = []
+        for _ in range(4):
+            lam = _SPECTRA[kind](rng, m) * 10.0**exponent
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            e = (q * lam) @ q.T
+            stack.append(0.5 * (e + e.T))
+        e = np.stack(stack)
+        lo, hi = _spectral_norm_bounds(e)
+        norms = _spectral_norms(e)
+        assert np.all(lo <= norms) and np.all(norms <= hi)
+        # tr(P^2) >= tr(P)^2 / m, so the bracket is never wider than this.
+        root = 0.5**mechanisms.SCREEN_SQUARINGS
+        assert np.all(lo >= hi * m**-root * (1.0 - 3e-12 * m**3))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("n", [2001, 4801, 4567])
+    def test_screened_quantile_is_np_quantile(self, n, alpha):
+        # Values 2% apart, so a wrong value at a rank np.quantile reads
+        # shows; (n-1)(1-alpha) is an integer at n = 2001 and 4801.
+        rng = np.random.default_rng(n)
+        x = rng.permutation(np.exp(np.arange(n) / 50.0))
+        lo = x * (1.0 - 0.015 * rng.random(n))
+        hi = x * (1.0 + 0.015 * rng.random(n))
+        asked = []
+
+        def exact(rows):
+            asked.append(rows)
+            return x[rows]
+
+        assert _screened_quantile(lo, hi, 1.0 - alpha, exact) == np.quantile(x, 1.0 - alpha)
+        assert len(asked) == 1 and asked[0].size < 10
+
+    @pytest.mark.parametrize("n", [1201, 1167], ids=["integer-index", "fractional-index"])
+    @pytest.mark.parametrize("screen", ["exact", "loose", "none"])
+    @pytest.mark.parametrize("p", [1, 2, 5, 8])
+    def test_ball_radius_is_the_eigvalsh_quantile(self, monkeypatch, p, screen, n):
+        # n - 1 = 1200 makes (n-1)(1-alpha) an integer at every alpha
+        # below; both n leave a partial last stack of 500.  Loosened bounds
+        # leave many draws to the replay, and no bounds at all every draw.
+        monkeypatch.setattr(mechanisms, "QUANTILE_DRAWS", n)
+        monkeypatch.setattr(mechanisms, "DRAW_CHUNK", 500)
+        real = mechanisms._spectral_norm_bounds
+        if screen == "loose":
+            monkeypatch.setattr(mechanisms, "_spectral_norm_bounds",
+                                lambda e: tuple(b * f for b, f in zip(real(e), (0.97, 1.03))))
+        elif screen == "none":
+            monkeypatch.setattr(mechanisms, "_spectral_norm_bounds",
+                                lambda e: (np.zeros(len(e)), np.full(len(e), np.inf)))
+        budget = PrivacyBudget(1.0, 1e-5)
+        law = WishartGramLaw(p, wishart_dof(p, budget), 0.5 * math.sqrt(p + 1), budget, seed=p)
+        for alpha in (0.01, 0.05, 0.5, 0.95):
+            assert law.ball_radius(alpha) == _eigvalsh_radius(law, alpha)
+            ball = law.central_set(alpha)
+            a, b = np.random.default_rng(40), np.random.default_rng(40)
+            assert np.array_equal(ball.draws(300, a), _eigvalsh_ball_draws(ball, 300, b))
+            assert a.random() == b.random()
 
 
 class TestChildRng:

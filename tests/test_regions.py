@@ -98,6 +98,30 @@ class TestSampleRegion:
         assert inside == 20
         assert ball.radius > 0
 
+    def test_non_pd_matrix_is_refused_before_the_ball_is_calibrated(self):
+        gram = toy_gram(p=2, seed=9)
+        law = gram_law(2, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9), 10)
+        chain = privatize_gram(gram, law, np.random.default_rng(9))
+        assert not region_contains(chain, -np.eye(3), RegionConfig(alpha=0.2, nsamples=100))
+        assert law._memo == {}
+
+    def test_ball_calibration_leaves_the_region_stream_alone(self):
+        # The radius replays stacks of the law's own calibration stream;
+        # a fresh law and one calibrated beforehand draw the same region.
+        gram = toy_gram(p=2, seed=9)
+        cfg = RegionConfig(alpha=0.2, nsamples=100)
+        fresh, calibrated = (gram_law(2, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9), 10)
+                             for _ in range(2))
+        calibrated.ball_radius(cfg.alpha)
+        streams, regions = [], []
+        for law in (fresh, calibrated):
+            chain = privatize_gram(gram, law, np.random.default_rng(9))
+            rng = np.random.default_rng(11)
+            regions.append(sample_region(chain, cfg, rng).candidates)
+            streams.append(rng.random())
+        np.testing.assert_array_equal(regions[0], regions[1])
+        assert streams[0] == streams[1]
+
 
 class TestMapFunctional:
     def test_identical_candidates_single_bin(self):

@@ -8,8 +8,9 @@ PYTHONPATH set to one ``src/`` directory and one BLAS thread, from a
 working directory of its own side, so both sides record the same
 relative ``--out``.  The list covers select, region, simulate, test and
 calibrate, across every mechanism (Laplace, Wishart, analytic Gaussian,
-``--no-noise``), every prior and both model priors, on the bundled
-``hsb2.csv`` and on a generated CSV whose cells lie inside (-0.5, 0.5).
+``--no-noise``), every prior and both model priors, with Wishart regions
+at alpha 0.05, 0.5 and 0.01, on the bundled ``hsb2.csv`` and on a
+generated CSV whose cells lie inside (-0.5, 0.5).
 
 For every artifact the script prints ``identical`` or the largest
 absolute and relative difference over its numeric fields, then any
@@ -103,6 +104,12 @@ def commands() -> list[tuple[str, list[str]]]:
          ["region", *hsb2, *_hsb2_flags("wishart"), "--prior", "bic",
           "--functional", "inclusion:1", "--nsamples", "300", "--seed", "23"]),
     ]
+    # The Wishart ball's radius at quantiles other than the default 95th.
+    for alpha, functional, prior in (("0.5", "beta:1", "g"), ("0.01", "inclusion:3", "bic")):
+        cmds.append((f"region-box-wishart-{functional.replace(':', '')}-{prior}-alpha{alpha}",
+                     ["region", *box, *_box_flags("wishart"), "--prior", prior,
+                      "--functional", functional, "--alpha", alpha, "--nsamples", "300",
+                      "--seed", "24"]))
     sim = ["simulate", "--p", "4", "--n", "3000", "--snr", "1", "--n-active", "2",
            "--n-datasets", "2", "--epsilon", "1"]
     for prior in ("zs", "g", "bic"):
