@@ -233,18 +233,44 @@ def _submodels(gs: np.ndarray, n: int, stat: GPriorSpec | InfoCriterionSpec):
     stays within STACK_FLOATS, yields ``(idx, coef, log_stat, shrink,
     clamps)``: the predictor indices (C, k), the coefficient blocks
     (S, C, k), the log statistic and shrinkage (S, C) of :func:`log_stat`,
-    and the per-matrix clamp counts of :func:`_fit`.  The common block is
-    the intercept alone (p0 = 1), as centering makes it.
+    and the per-matrix clamp counts of :func:`_fit`.  Fitted chunks are
+    held until their coefficient blocks reach STACK_FLOATS entries or the
+    size classes run out; one :func:`log_stat` call, with a model size per
+    value, then scores the whole group (one Zellner-Siow quadrature for
+    all of a small enumeration).  The common block is the intercept alone
+    (p0 = 1), as centering makes it.
     """
     s, m, _ = gs.shape
     p = m - 1
+    held, floats = [], 0
     for k in range(1, p + 1):
         combos = itertools.combinations(range(p), k)
         step = max(1, STACK_FLOATS // (s * k * k))
         while chunk := list(itertools.islice(combos, step)):
             idx = np.array(chunk)
             coef, r2, clamps = _fit(gs, idx)
-            yield (idx, coef, *log_stat(r2, n, k, 1, stat), clamps)
+            held.append((idx, coef, r2, clamps))
+            floats += coef.size
+            if floats >= STACK_FLOATS:
+                yield from _scored(held, n, stat)
+                held, floats = [], 0
+    yield from _scored(held, n, stat)
+
+
+def _scored(held: list, n: int, stat: GPriorSpec | InfoCriterionSpec):
+    """The held ``(idx, coef, r2, clamps)`` chunks, in order, with their
+    R^2 values replaced by the log statistic and shrinkage of one
+    :func:`log_stat` call over all of them."""
+    if not held:
+        return
+    r2 = np.concatenate([r2 for _, _, r2, _ in held], axis=1)
+    sizes = np.concatenate([np.full(idx.shape[0], idx.shape[1]) for idx, *_ in held])
+    lstat, shrink = log_stat(r2, n, sizes, 1, stat)
+    at = 0
+    for idx, coef, _, clamps in held:
+        cols = slice(at, at + idx.shape[0])
+        at = cols.stop
+        yield idx, coef, lstat[:, cols], shrink[:, cols], clamps
 
 
 def _gammas(idx: np.ndarray) -> np.ndarray:
@@ -291,14 +317,18 @@ class ModelPosterior:
 
     Model index gamma is the integer bitmask; arrays are ordered by
     gamma = 0 .. 2^p - 1.  Enumerated from a stack of matrices, every
-    array (and ``r2_clamps``) gains a leading stack axis.  ``r2_clamps``
-    counts the noisy R^2 values that were clamped into [0, 1).
+    array (and ``r2_clamps``) gains a leading stack axis.  ``shrinkage``
+    holds each model's factor on its least-squares coefficients (see
+    :func:`dpms.linmodel.log_stat`), laid out like ``log_marginals``; the
+    null model, with no coefficients, has 0.  ``r2_clamps`` counts the
+    noisy R^2 values that were clamped into [0, 1).
     """
 
     log_marginals: np.ndarray
     posterior: np.ndarray
     inclusion: np.ndarray
     beta_avg: np.ndarray
+    shrinkage: np.ndarray
     prior_kind: str
     p: int
     n: int
@@ -321,9 +351,11 @@ def enumerate_posterior(
     stack (S, m, m) of such matrices; ``n`` is the row count of the data
     behind them.  Log marginals are prior + log Bayes factor
     (or log information criterion) and are normalized by log-sum-exp.
-    One pass over the size classes gives every model's log marginal and
-    coefficient block; the model-averaged coefficients accumulate along
-    the way, rescaled whenever the running maximum log marginal grows.
+    One pass over the size classes gives every model's log marginal,
+    shrinkage and coefficient block, scored a group of chunks at a time
+    (see :func:`_submodels`); the model-averaged coefficients accumulate
+    chunk by chunk, rescaled whenever the running maximum log marginal
+    grows.
     """
     g = np.asarray(g, dtype=float)
     p = g.shape[-1] - 1
@@ -335,12 +367,15 @@ def enumerate_posterior(
     gs = g.reshape((-1, p + 1, p + 1))
     log_marg = np.empty((gs.shape[0], 1 << p))
     log_marg[:, 0] = model_prior_log(0, p, prior_kind)
+    shrinkage = np.zeros_like(log_marg)
     shift = log_marg[:, 0].copy()
     beta = np.zeros((gs.shape[0], p))
     clamps = np.zeros(gs.shape[0], dtype=int)
     for idx, coef, lstat, shrink, bad in _submodels(gs, n, stat):
         lm = model_prior_log((1 << idx.shape[1]) - 1, p, prior_kind) + lstat
-        log_marg[:, _gammas(idx)] = lm
+        cols = _gammas(idx)
+        log_marg[:, cols] = lm
+        shrinkage[:, cols] = shrink
         top = np.maximum(shift, lm.max(axis=1))
         beta *= np.exp(shift - top)[:, None]
         shift = top
@@ -358,9 +393,10 @@ def enumerate_posterior(
     # A sum of masses can round past 1 (to 1 + 2^-52).
     np.clip(inclusion, 0.0, 1.0, out=inclusion)
     if g.ndim == 2:
-        return ModelPosterior(log_marg[0], posterior[0], inclusion[0], beta[0],
+        return ModelPosterior(log_marg[0], posterior[0], inclusion[0], beta[0], shrinkage[0],
                               prior_kind, p, n, int(clamps[0]))
-    return ModelPosterior(log_marg, posterior, inclusion, beta, prior_kind, p, n, clamps)
+    return ModelPosterior(log_marg, posterior, inclusion, beta, shrinkage, prior_kind, p, n,
+                          clamps)
 
 
 def model_averaged_beta(

@@ -27,7 +27,6 @@ from .linmodel import (
     GPriorSpec,
     InfoCriterionSpec,
     RegressionData,
-    log_stat,
     reparametrize,
 )
 # Bound here because perfbench/tracing.py wraps it under dpms.harness.
@@ -207,8 +206,8 @@ def mse_study_cell(
         v, v_beta = centered.v, centered.v @ beta
         gs, post = _dataset_posteriors(build_gram(centered), stat, by_method, lambda_pct, rng)
         # The all-predictors model of every released matrix, with its shrinkage.
-        coef, r2, _ = _fit(gs, np.arange(cfg.p)[None])
-        beta_full = log_stat(r2, cfg.n, cfg.p, 1, stat)[1] * coef[:, 0]
+        coef = _fit(gs, np.arange(cfg.p)[None])[0]
+        beta_full = post.shrinkage[:, -1, None] * coef[:, 0]
         for i, method in enumerate(("O", *DP_METHODS)):
             mse = float(np.mean((v_beta - v @ post.beta_avg[i]) ** 2))
             mse_full = float(np.mean((v_beta - v @ beta_full[i]) ** 2))

@@ -202,9 +202,11 @@ class InfoCriterionSpec:
     def custom(cls, rho: float) -> "InfoCriterionSpec":
         return cls("custom", float(rho))
 
-    def rho_at(self, n: int, p: int) -> float:
+    def rho_at(self, n: int, p):
+        """The penalty exponent at sample size n for model size p, an int
+        or an integer array (then an array for BIC and AIC)."""
         if self.kind == "bic":
-            return float(p)
+            return 1.0 * p
         if self.kind == "aic":
             return 2.0 * p / math.log(n)
         if self.kind == "lrt":
@@ -219,25 +221,29 @@ def _check_r2(r2: float) -> float:
 
 
 def log_stat(
-    r2, n: int, k: int, p0: int, stat: GPriorSpec | InfoCriterionSpec
+    r2, n: int, k, p0: int, stat: GPriorSpec | InfoCriterionSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log statistic and shrinkage factor of size-k models, per R^2 value.
+    """Log statistic and shrinkage factor per R^2 value.
 
-    The log statistic is the log Bayes factor against the null under a
-    g-prior (log of the integral of
+    The log statistic of a size-k model is the log Bayes factor against
+    the null under a g-prior (log of the integral of
     (g+1)^((n-k-p0)/2) [1 + g (1-R^2)]^(-(n-p0)/2) against the prior on g)
     or the log information criterion -(rho/2) log n - (n/2) log(1 - R^2).
     The shrinkage multiplies the least-squares coefficients in the
     posterior mean: g/(1+g) for a point mass, its posterior mean under
     Zellner-Siow, 1 for an information criterion.  ``r2`` is an array of
-    values in [0, 1); both results have its shape.
+    values in [0, 1) and ``k`` an int or an integer array of model sizes,
+    broadcast against it; both results have the broadcast shape, and each
+    value equals that of a call with its own scalar k.
     """
     r2 = np.asarray(r2, dtype=float)
+    k = np.asarray(k)
+    r2 = np.broadcast_to(r2, np.broadcast_shapes(r2.shape, k.shape))
     if isinstance(stat, InfoCriterionSpec):
         rho = stat.rho_at(n, k)
         return -0.5 * rho * math.log(n) - 0.5 * n * np.log1p(-r2), np.ones_like(r2)
-    if n <= k + p0:
-        raise DataError(f"need n > p + p0, got n={n}, p={k}, p0={p0}")
+    if np.any(n <= k + p0):
+        raise DataError(f"need n > p + p0, got n={n}, p={int(k.max())}, p0={p0}")
     if stat.kind == "zellner-siow":
         return _zs_batch(r2, n, k, p0)
     g = stat.g if stat.kind == "fixed-g" else float(n)
@@ -251,8 +257,9 @@ ZS_HALVINGS = 8
 _ZS_VALUES = 2**17
 
 
-def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zellner-Siow log integrals and shrinkages for an array of R^2 values.
+def _zs_batch(r2: np.ndarray, n: int, p, p0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zellner-Siow log integrals and shrinkages for an array of R^2 values,
+    each of the model size p (an int or an integer array) broadcast to it.
 
     With g = e^s, a = (n-p-p0)/2, b = (n-p0)/2, sigma the logistic function
     and sigma_r = sigma(s + log(1-R^2)), the integral against the
@@ -271,29 +278,38 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
     form above subtracts two terms near n s / 2, whose rounding would cost
     about 1e-16 n s / 2 in l (1e-12 relative in the log integral at n = 1e8).
     The step starts at 1/8 and halves, reusing the earlier nodes, until two
-    successive sums agree to 1e-8 relative; a value keeps its first
-    converged result, so a stack of values gives bitwise the results of one
-    call per value.  The shrinkage, the posterior mean of g/(1+g) =
-    sigma(s), uses the same nodes.  Tails not negligible at t = +-6, or no
-    convergence after ZS_HALVINGS halvings, raise a NumericError carrying
-    r2, n, p and p0.
+    successive sums agree to 1e-8 relative.  Each value carries its own a
+    and p/2 and keeps its first converged result, so a stack of values,
+    of one size or of many, gives bitwise the results of one call per
+    value.  The shrinkage, the posterior mean of g/(1+g) = sigma(s), uses
+    the same nodes.  Tails not negligible at t = +-6, or no convergence
+    after ZS_HALVINGS halvings, raise a NumericError carrying the failing
+    value's r2 and p, with n and p0.
     """
-    if p < 1:
-        raise DataError(f"the tested block must have p >= 1 columns, got {p}")
-    flat = np.asarray(r2, dtype=float).ravel()
-    a, b, shift = 0.5 * (n - p - p0), 0.5 * (n - p0), np.log1p(-flat)
+    shape = np.broadcast_shapes(np.shape(r2), np.shape(p))
+    flat = np.broadcast_to(np.asarray(r2, dtype=float), shape).ravel()
+    sizes = np.broadcast_to(p, shape).ravel()
+    low = np.flatnonzero(sizes < 1)
+    if low.size:
+        raise DataError(f"the tested block must have p >= 1 columns, got {sizes[low[0]]}")
+    a, b, half_p = 0.5 * (n - sizes - p0), 0.5 * (n - p0), 0.5 * sizes
+    shift = np.log1p(-flat)
 
-    def ell(s, r2):
-        # Nodes lie within w sinh(6) < 202 of a mode in [-40, 80 + log n], so
-        # e^s cannot overflow; capping e^(-s) only touches nodes already
+    def ell(s, rows):
+        # l at the nodes s (R, T) of the values ``rows`` (R,).  Nodes lie
+        # within w sinh(6) < 202 of a mode in [-40, 80 + log n], so e^s
+        # cannot overflow; capping e^(-s) only touches nodes already
         # e^(-1e260) below the peak.  In place, to hold few arrays at once.
+        r2 = flat[rows, None]
         g = np.exp(s)
         u = g * (1.0 - r2)
         g *= r2
         g /= 1.0 + u
         out = np.log1p(g, out=g)
-        out *= a
-        out -= 0.5 * p * np.log1p(u, out=u)
+        out *= a[rows, None]
+        np.log1p(u, out=u)
+        u *= half_p[rows, None]
+        out -= u
         out -= 0.5 * s
         out -= 0.5 * n * np.exp(-np.maximum(s, -600.0))
         return out
@@ -307,14 +323,16 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
     # expit(-x) is 1 - expit(x) without the cancellation.
     w = np.minimum(1.0, (0.5 * n * np.exp(-mode) - a * expit(mode) * expit(-mode)
                          + b * expit(mode + shift) * expit(-mode - shift)) ** -0.5)
-    peak = ell(mode, flat)
-    ends = mode + np.array([[-1.0], [1.0]]) * (w * math.sinh(6.0))
-    wide = np.flatnonzero(ell(ends, flat).max(axis=0) - peak > math.log(1e-16 / math.cosh(6.0)))
+    idx = np.arange(flat.size)
+    peak = ell(mode[:, None], idx)[:, 0]
+    ends = mode[:, None] + (w * math.sinh(6.0))[:, None] * np.array([-1.0, 1.0])
+    wide = np.flatnonzero(ell(ends, idx).max(axis=1) - peak > math.log(1e-16 / math.cosh(6.0)))
     if wide.size:
         raise NumericError("Zellner-Siow integrand is not negligible at the ends of its range",
-                           {"r2": float(flat[wide[0]]), "n": n, "p": p, "p0": p0})
+                           {"r2": float(flat[wide[0]]), "n": n, "p": int(sizes[wide[0]]),
+                            "p0": p0})
     # Node sums of f, the integrand in t over its peak and without w, and of sigma(s) f.
-    idx, h, total = np.arange(flat.size), 0.25, np.zeros((2, flat.size))
+    h, total = 0.25, np.zeros((2, flat.size))
     out = np.empty((2, flat.size))
     for level in range(ZS_HALVINGS + 1):
         h *= 0.5
@@ -324,7 +342,7 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
         for j in range(0, idx.size, block):
             rows = idx[j:j + block]
             s = mode[rows, None] + w[rows, None] * np.sinh(t)
-            f = np.exp(ell(s, flat[rows, None]) - peak[rows, None]) * np.cosh(t)
+            f = np.exp(ell(s, rows) - peak[rows, None]) * np.cosh(t)
             more[:, j:j + block] = f.sum(axis=1), (expit(s) * f).sum(axis=1)
         done = np.abs(more[0] - total[0]) <= 1e-8 * (total[0] + more[0])
         total += more
@@ -334,9 +352,9 @@ def _zs_batch(r2: np.ndarray, n: int, p: int, p0: int) -> tuple[np.ndarray, np.n
         out[1, hit] = total[1, done] / total[0, done]
         idx, total = idx[~done], total[:, ~done]
         if not idx.size:
-            return out[0].reshape(np.shape(r2)), out[1].reshape(np.shape(r2))
+            return out[0].reshape(shape), out[1].reshape(shape)
     raise NumericError("Zellner-Siow quadrature did not converge",
-                       {"r2": float(flat[idx[0]]), "n": n, "p": p, "p0": p0})
+                       {"r2": float(flat[idx[0]]), "n": n, "p": int(sizes[idx[0]]), "p0": p0})
 
 
 def _zs_quadrature(r2: float, n: int, p: int, p0: int) -> tuple[float, float]:

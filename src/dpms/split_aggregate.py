@@ -205,7 +205,9 @@ def per_subset_log_stats(
     if plan.n != data.n:
         raise DataError(f"split plan covers {plan.n} rows but data has {data.n}")
     sizes = plan.sizes
-    order = np.argsort(plan.assignment, kind="stable")
+    # A stable sort of the smallest integer type numpy radix-sorts, in the
+    # same order as the int64 sort.
+    order = np.argsort(plan.assignment.astype(np.min_scalar_type(plan.M - 1)), kind="stable")
     starts = np.cumsum(sizes) - sizes
     out = np.empty(plan.M)
     reasons = {}

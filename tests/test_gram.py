@@ -1,15 +1,18 @@
 """Gram construction, privatization, post-processing, and enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from dpms import gram as gram_module
 from dpms import mechanisms
 from dpms.datagen import SimStudyConfig, generate_sim_dataset
 from dpms.errors import ConfigError, DegenerateResponseError, RepairFailureError
 from dpms.gram import (
     GramChain,
+    _fit,
     build_gram,
     enumerate_posterior,
     model_averaged_beta,
@@ -27,6 +30,7 @@ from dpms.linmodel import (
     InfoCriterionSpec,
     RegressionData,
     log_bayes_factor,
+    log_stat,
     r_squared,
     reparametrize,
     zs_shrinkage,
@@ -500,6 +504,63 @@ class TestBatchedEnumeration:
         assert np.all(np.isfinite(post.log_marginals))
 
 
+def _one_call_per_chunk(gs, n, stat):
+    """The scoring _submodels grouped away: one log_stat call per chunk."""
+    s, m, _ = gs.shape
+    for k in range(1, m):
+        combos = itertools.combinations(range(m - 1), k)
+        step = max(1, gram_module.STACK_FLOATS // (s * k * k))
+        while chunk := list(itertools.islice(combos, step)):
+            idx = np.array(chunk)
+            coef, r2, clamps = _fit(gs, idx)
+            yield (idx, coef, *gram_module.log_stat(r2, n, k, 1, stat), clamps)
+
+
+class TestGroupedScoring:
+    """_submodels scores held chunks with one log_stat call per group."""
+
+    FIELDS = ("log_marginals", "posterior", "inclusion", "beta_avg", "shrinkage", "r2_clamps")
+
+    @pytest.mark.parametrize("name", ["zs", "bic", "fixed-g"])
+    def test_groups_do_not_change_results(self, name, monkeypatch):
+        grams = np.stack([random_gram(8, seed)[0] for seed in range(60, 63)])
+        default = enumerate_posterior(grams, STATS[name], n=300)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return log_stat(*args)
+
+        monkeypatch.setattr(gram_module, "log_stat", counted)
+        enumerate_posterior(grams, STATS[name], n=300)
+        assert len(calls) == 1 and np.unique(calls[0]).tolist() == list(range(1, 9))
+
+        monkeypatch.setattr(gram_module, "STACK_FLOATS", 64)
+        calls.clear()
+        grouped = enumerate_posterior(grams, STATS[name], n=300)
+        groups = len(calls)
+        monkeypatch.setattr(gram_module, "_submodels", _one_call_per_chunk)
+        calls.clear()
+        per_chunk = enumerate_posterior(grams, STATS[name], n=300)
+        assert 1 < groups < len(calls)
+        for field in self.FIELDS:
+            np.testing.assert_array_equal(getattr(grouped, field), getattr(per_chunk, field))
+            if field != "beta_avg":
+                np.testing.assert_array_equal(getattr(grouped, field), getattr(default, field))
+        # Smaller chunks sum the model-averaged coefficients in other partial
+        # sums, so only their last bits can move.
+        np.testing.assert_allclose(grouped.beta_avg, default.beta_avg, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["zs", "sample-size", "aic"])
+    def test_last_shrinkage_is_the_full_models(self, name):
+        grams = np.stack([random_gram(5, seed)[0] for seed in range(64, 66)])
+        post = enumerate_posterior(grams, STATS[name], n=300)
+        _, r2, _ = _fit(grams, np.arange(5)[None])
+        np.testing.assert_array_equal(post.shrinkage[:, -1],
+                                      log_stat(r2, 300, 5, 1, STATS[name])[1][:, 0])
+        assert np.all(post.shrinkage[:, 0] == 0.0)
+
+
 class TestModelAveragedBeta:
     def test_mass_on_null_gives_zero_vector(self):
         gram = build_gram(toy_centered(p=2, seed=17))
@@ -507,7 +568,7 @@ class TestModelAveragedBeta:
         forced = post.__class__(
             log_marginals=post.log_marginals,
             posterior=np.array([1.0, 0.0, 0.0, 0.0]),
-            inclusion=np.zeros(2), beta_avg=np.zeros(2),
+            inclusion=np.zeros(2), beta_avg=np.zeros(2), shrinkage=post.shrinkage,
             prior_kind="uniform", p=2, n=post.n,
         )
         np.testing.assert_array_equal(
@@ -522,7 +583,7 @@ class TestModelAveragedBeta:
         forced = post.__class__(
             log_marginals=post.log_marginals,
             posterior=np.array([0.0, 0.0, 0.0, 1.0]),
-            inclusion=np.ones(2), beta_avg=np.zeros(2),
+            inclusion=np.ones(2), beta_avg=np.zeros(2), shrinkage=post.shrinkage,
             prior_kind="uniform", p=2, n=post.n,
         )
         got = model_averaged_beta(forced, gram.g, GPriorSpec.fixed(g_val))

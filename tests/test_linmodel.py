@@ -302,6 +302,52 @@ class TestLogBayesFactor:
         assert vals[0] < vals[1] < vals[2]
 
 
+EVERY_STAT = {
+    "zs": GPriorSpec.zellner_siow(),
+    "fixed-g": GPriorSpec.fixed(40.0),
+    "sample-size": GPriorSpec.sample_size(),
+    "bic": InfoCriterionSpec.bic(),
+    "aic": InfoCriterionSpec.aic(),
+    "lrt": InfoCriterionSpec.lrt(),
+    "custom": InfoCriterionSpec.custom(1.5),
+}
+
+
+class TestPerValueModelSizes:
+    """log_stat with an array of model sizes, as enumeration calls it."""
+
+    @pytest.mark.parametrize("n", [60, 20_000])
+    @pytest.mark.parametrize("name", EVERY_STAT)
+    def test_equals_one_call_per_size(self, name, n):
+        rng = np.random.default_rng(12)
+        r2 = rng.uniform(0.0, 0.95, size=(2, 60))
+        r2[0, :3] = [0.0, 1e-300, 1 - 1e-12]
+        k = rng.integers(1, 9, size=60)
+        log_s, shrink = log_stat(r2, n, k, 1, EVERY_STAT[name])
+        assert log_s.shape == shrink.shape == r2.shape
+        for size in np.unique(k):
+            cols = k == size
+            want_log, want_shrink = log_stat(r2[:, cols], n, int(size), 1, EVERY_STAT[name])
+            np.testing.assert_array_equal(log_s[:, cols], want_log)
+            np.testing.assert_array_equal(shrink[:, cols], want_shrink)
+
+    def test_sizes_broadcast_against_r2(self):
+        log_s, shrink = log_stat(0.3, 80, np.array([1, 2, 3]), 1, GPriorSpec.zellner_siow())
+        assert log_s.shape == shrink.shape == (3,)
+        for i, k in enumerate((1, 2, 3)):
+            assert (log_s[i], shrink[i]) == _zs_quadrature(0.3, 80, k, 1)
+
+    def test_zellner_siow_error_carries_that_values_size(self, monkeypatch):
+        monkeypatch.setattr(linmodel, "ZS_HALVINGS", 0)
+        with pytest.raises(NumericError) as err:
+            log_stat(np.array([0.1, 0.25]), 500, np.array([4, 2]), 1, GPriorSpec.zellner_siow())
+        assert err.value.diagnostics == {"r2": 0.1, "n": 500, "p": 4, "p0": 1}
+
+    def test_too_large_a_size_is_a_data_error(self):
+        with pytest.raises(DataError, match="p=9"):
+            log_stat(np.array([0.1, 0.2]), 10, np.array([2, 9]), 1, GPriorSpec.fixed(4.0))
+
+
 class TestLogInfoCriterion:
     def test_lrt_at_null(self):
         assert log_info_criterion(0.0, 100, 3, InfoCriterionSpec.lrt()) == 0.0
