@@ -42,7 +42,7 @@ from .gram import (
     synthetic_dataset,
     threshold_offdiagonal,
 )
-from .io import hsb2_path, ingest_csv, load_hsb2
+from .io import hsb2_path, ingest_csv
 from .linmodel import (
     CenteredData,
     GPriorSpec,

@@ -71,7 +71,6 @@ class EmpiricalNull:
     """Sorted simulated null sample of a private statistic."""
 
     sorted_samples: np.ndarray
-    statistic_kind: str  # "lrt" | "bf" | "pvalue"
 
     @property
     def nsim(self) -> int:
@@ -93,7 +92,7 @@ def simulate_null_lrt(
     log_lambda = 0.5 * rng.chisquare(cfg.df, size=(cfg.nsim, cfg.M))
     released = release_means(log_lambda, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
     # Doubling is exact, so 2 clip(a, L, U) is bitwise clip(2a, 2L, 2U).
-    return EmpiricalNull(np.sort(2.0 * censor(released, cfg.bounds)), "lrt")
+    return EmpiricalNull(np.sort(2.0 * censor(released, cfg.bounds)))
 
 
 # Values per block of a PCHIP evaluation: a block's temporaries stay in cache.
@@ -205,7 +204,7 @@ def simulate_null_bf(
         else:
             cols[:, i] = log_stat(r2, int(b), p, p0, stat)[0]
     released = release_means(cols, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
-    return EmpiricalNull(np.sort(censor(released, cfg.bounds)), "bf")
+    return EmpiricalNull(np.sort(censor(released, cfg.bounds)))
 
 
 def simulate_null_pvalue(
@@ -218,7 +217,7 @@ def simulate_null_pvalue(
     """
     u = rng.uniform(size=(cfg.nsim, cfg.M))
     released = release_means(u, cfg.bounds, cfg.budget, rng, with_noise=with_noise)
-    return EmpiricalNull(np.sort(censor(released, cfg.bounds)), "pvalue")
+    return EmpiricalNull(np.sort(censor(released, cfg.bounds)))
 
 
 def critical_value(null: EmpiricalNull, alpha: float) -> float:
@@ -270,6 +269,6 @@ def beta_tail_bound(k: float, b: int, p: int, p0: int) -> float:
     return float(math.exp(log_bound))
 
 
-def quantile_table(null: EmpiricalNull, probs=SUMMARY_QUANTILES) -> list[tuple[float, float]]:
+def quantile_table(null: EmpiricalNull) -> list[tuple[float, float]]:
     """Summary quantiles of a simulated null, for CSV emission."""
-    return [(float(q), float(np.quantile(null.sorted_samples, q))) for q in probs]
+    return [(float(q), float(np.quantile(null.sorted_samples, q))) for q in SUMMARY_QUANTILES]

@@ -85,38 +85,45 @@ def rescale_to_unit_box(data: np.ndarray, bounds) -> tuple[np.ndarray, RescaleTr
     return t.apply(data), t
 
 
+def bounded_design(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """n x p iid standard normal predictors, rescaled per column to lie
+    strictly inside (-0.5, 0.5)."""
+    raw = rng.standard_normal((n, p))
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    return ((raw - lo) / (hi - lo) - 0.5) * (1.0 - 1e-9)
+
+
+def snr_response(x: np.ndarray, beta: np.ndarray, snr: float,
+                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """y = x beta + sigma e with e iid standard normal, and sigma.
+
+    sigma solves var(V beta) / sigma^2 = snr exactly for the realized
+    design, V the centered x (population-variance convention); it is 1
+    when beta is zero.
+    """
+    signal = (x - x.mean(axis=0)) @ beta
+    sigma = float(np.sqrt(np.var(signal) / snr)) if beta.any() else 1.0
+    return x @ beta + sigma * rng.standard_normal(x.shape[0]), sigma
+
+
 def generate_sim_dataset(
     cfg: SimStudyConfig, rng: np.random.Generator
 ) -> tuple[RegressionData, np.ndarray, float]:
-    """Simulate one dataset with bounded predictors and controlled SNR.
+    """Simulate one dataset with bounded predictors (:func:`bounded_design`)
+    and controlled SNR (:func:`snr_response`).
 
-    Predictors are iid standard normal, rescaled per column to lie
-    strictly inside (-0.5, 0.5); the intercept is 0; the active support
-    is a seeded random subset of size ``n_active`` with N(0, beta_sd^2)
-    coefficients.  The error variance solves var(V beta) / sigma^2 = snr
-    exactly for the realized draws (population-variance convention); the
-    null model (n_active = 0) uses sigma = 1.
+    The intercept is 0; the active support is a seeded random subset of
+    size ``n_active`` with N(0, beta_sd^2) coefficients; the null model
+    (n_active = 0) has sigma = 1.
 
     Returns (data with intercept-only common block, true beta, sigma).
     """
-    raw = rng.standard_normal((cfg.n, cfg.p))
-    lo = raw.min(axis=0)
-    hi = raw.max(axis=0)
-    x = ((raw - lo) / (hi - lo) - 0.5) * (1.0 - 1e-9)
-
+    x = bounded_design(cfg.n, cfg.p, rng)
     beta = np.zeros(cfg.p)
     if cfg.n_active > 0:
         support = rng.choice(cfg.p, size=cfg.n_active, replace=False)
         beta[support] = rng.normal(0.0, cfg.beta_sd, size=cfg.n_active)
-
-    v = x - x.mean(axis=0)
-    signal = v @ beta
-    if cfg.n_active > 0:
-        sigma = float(np.sqrt(np.var(signal) / cfg.snr))
-    else:
-        sigma = 1.0
-    y = x @ beta + sigma * rng.standard_normal(cfg.n)
-
+    y, sigma = snr_response(x, beta, cfg.snr, rng)
     outside = int(np.count_nonzero((y <= -0.5) | (y >= 0.5)))
     if outside:
         log.warning(
@@ -124,6 +131,5 @@ def generate_sim_dataset(
             "(fraction %.2e); Gram-release sensitivity bounds may be violated",
             outside, cfg.n, outside / cfg.n,
         )
-
     data = RegressionData(y=y, x0=np.ones((cfg.n, 1)), x=x)
     return data, beta, sigma

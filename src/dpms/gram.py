@@ -27,7 +27,7 @@ from .errors import (
     NumericError,
     RepairFailureError,
 )
-from .linmodel import CenteredData, GPriorSpec, InfoCriterionSpec, log_stat
+from .linmodel import UNUSABLE, CenteredData, GPriorSpec, InfoCriterionSpec, log_stat
 from .mechanisms import LaplaceGramLaw, WishartGramLaw, ZeroGramLaw
 # Bound here because perfbench/tracing.py wraps them under dpms.gram.
 from .linmodel import log_bayes_factor, log_info_criterion, zs_shrinkage  # noqa: F401
@@ -84,7 +84,7 @@ def build_gram(c: CenteredData) -> GramChain:
     infinity oracle)."""
     zz = float(c.z @ c.z)
     if zz <= 0.0:
-        raise DegenerateResponseError("centered response has zero sum of squares")
+        raise DegenerateResponseError(UNUSABLE[2])
     d = np.column_stack([c.v, c.z])
     g = d.T @ d
     g = 0.5 * (g + g.T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import SimStudyConfig, generate_sim_dataset
+from .datagen import SimStudyConfig, bounded_design, generate_sim_dataset, snr_response
 from .gram import (
     GramChain,
     ModelPosterior,
@@ -55,18 +55,16 @@ def prop1_rejection_fractions(
     under_alternative: bool,
     n_runs: int,
     seed: int,
-    *,
-    effect: float = 0.5,
-    epsilon: float = 1.0,
 ) -> float:
     """Fraction of runs whose censored private statistic picks the truth.
 
     Schedule: M = ceil(n^0.4) subsets, censoring at U = -L = log n, so
     both the subset sizes and the censor window grow while the noise
-    scale (U - L)/(M epsilon) shrinks.  Under the null the success event
-    is B*c < 1; under the alternative (a single predictor with
-    standardized effect ``effect``) it is B*c > 1.
+    scale (U - L)/(M epsilon) shrinks, at epsilon = 1.  Under the null
+    the success event is B*c < 1; under the alternative (a single
+    predictor with standardized effect 0.5) it is B*c > 1.
     """
+    effect, epsilon = 0.5, 1.0
     M = math.ceil(n**0.4)
     bounds = CensorBounds(-math.log(n), math.log(n))
     budget = PrivacyBudget(epsilon)
@@ -92,15 +90,11 @@ def _bounded_dataset_fixed_beta(
 ) -> tuple[RegressionData, np.ndarray]:
     """Bounded-design dataset whose active coefficients have a fixed
     magnitude (random signs), with sigma solved from the target SNR."""
-    raw = rng.standard_normal((n, p))
-    lo, hi = raw.min(axis=0), raw.max(axis=0)
-    x = ((raw - lo) / (hi - lo) - 0.5) * (1.0 - 1e-9)
+    x = bounded_design(n, p, rng)
     beta = np.zeros(p)
     support = rng.choice(p, size=support_size, replace=False)
     beta[support] = magnitude * rng.choice([-1.0, 1.0], size=support_size)
-    v = x - x.mean(axis=0)
-    sigma = float(np.sqrt(np.var(v @ beta) / snr))
-    y = x @ beta + sigma * rng.standard_normal(n)
+    y, _ = snr_response(x, beta, snr, rng)
     return RegressionData(y=y, x0=np.ones((n, 1)), x=x), beta
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "ingest_csv",
     "read_numeric_columns",
     "hsb2_path",
-    "load_hsb2",
     "write_json_record",
     "write_csv",
     "posterior_csv_rows",
@@ -139,11 +138,6 @@ def ingest_csv(
 def hsb2_path() -> Path:
     """Path of the bundled 200-student high-school-scores fixture."""
     return Path(resources.files("dpms").joinpath("data/hsb2.csv"))
-
-
-def load_hsb2() -> dict[str, np.ndarray]:
-    """The bundled fixture as numeric columns."""
-    return read_numeric_columns(hsb2_path())
 
 
 def _jsonable(value):

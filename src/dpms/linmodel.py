@@ -30,6 +30,16 @@ __all__ = [
 
 _RANK_RTOL = 1e-10
 
+# Why a design and response are unusable, in the order the checks run.  The
+# texts carry no number computed from the data: a private run prints them.
+UNUSABLE = (
+    "combined design [x0 x] is rank deficient",
+    "common predictor block x0 is rank deficient",
+    "centered response has zero sum of squares",
+    "the tested block fits the response exactly (R^2 = 1)",
+)
+TOO_FEW_ROWS = "need n > p + p0, got n={}, p={}, p0={}"
+
 
 def expit(x):
     """The logistic function 1/(1 + e^-x) of a scalar or an array.
@@ -40,13 +50,24 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _check_full_rank(m: np.ndarray, what: str) -> None:
-    if m.size == 0:
-        return
+def _rank_deficient(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (..., r, c) stack has its smallest singular
+    value at most ``_RANK_RTOL`` times its largest."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= _RANK_RTOL * s[0]:
-        raise RankError(f"{what} is rank deficient (smallest/largest singular value "
-                        f"= {s[-1] / s[0]:.3e})")
+    return s[..., -1] <= _RANK_RTOL * s[..., 0]
+
+
+def _project(x0: np.ndarray, y: np.ndarray, x: np.ndarray):
+    """Project y (..., n) and x (..., n, p) off the columns of x0
+    (..., n, p0) by an unpivoted QR of x0, never forming the projector:
+    (z, v, dependent), with ``dependent`` flagging each column of x0 whose
+    |diag R| is at most ``_RANK_RTOL`` times the largest, a column in the
+    span of the columns before it."""
+    q, r = np.linalg.qr(x0)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    z = y - (q @ (q.mT @ y[..., None]))[..., 0]
+    v = x - q @ (q.mT @ x)
+    return z, v, diag <= _RANK_RTOL * diag.max(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -72,8 +93,9 @@ class RegressionData:
         if self.x0.shape[0] != n or self.x.shape[0] != n:
             raise DataError("y, x0, x must have the same number of rows")
         if n <= self.p + self.p0:
-            raise DataError(f"need n > p + p0, got n={n}, p={self.p}, p0={self.p0}")
-        _check_full_rank(np.hstack([self.x0, self.x]), "combined design [x0 x]")
+            raise DataError(TOO_FEW_ROWS.format(n, self.p, self.p0))
+        if self.x0.size + self.x.size and _rank_deficient(np.hstack([self.x0, self.x])):
+            raise RankError(UNUSABLE[0])
 
     @property
     def n(self) -> int:
@@ -107,19 +129,12 @@ class CenteredData:
 def reparametrize(data: RegressionData) -> CenteredData:
     """Project y and x onto the orthogonal complement of x0.
 
-    Uses an unpivoted QR factorization of x0; the projector is never
-    formed explicitly.  Raises RankError if x0 is rank deficient, naming
-    the first column whose |diag R| is at most 1e-10 times the largest:
-    a column in the span of the columns before it.
+    Raises RankError if x0 is rank deficient, with ``column`` its first
+    dependent column (see :func:`_project`).
     """
-    q, r = np.linalg.qr(data.x0)
-    diag = np.abs(np.diag(r))
-    bad = np.flatnonzero(diag <= _RANK_RTOL * diag.max())
-    if bad.size:
-        col = int(bad[0])
-        raise RankError(f"common predictor block x0 is rank deficient at column {col}", column=col)
-    z = data.y - q @ (q.T @ data.y)
-    v = data.x - q @ (q.T @ data.x)
+    z, v, dependent = _project(data.x0, data.y, data.x)
+    if dependent.any():
+        raise RankError(UNUSABLE[1], column=int(dependent.argmax()))
     return CenteredData(z=z, v=v)
 
 
@@ -127,12 +142,38 @@ def r_squared(c: CenteredData) -> float:
     """R^2 of the tested block: z' P_v z / z'z, via QR of v."""
     zz = float(c.z @ c.z)
     if zz <= 0.0:
-        raise DegenerateResponseError("centered response has zero sum of squares")
+        raise DegenerateResponseError(UNUSABLE[2])
     q, _ = np.linalg.qr(c.v)
     proj = q.T @ c.z
     r2 = float(proj @ proj) / zz
     # Guard against roundoff pushing the ratio a hair outside [0, 1].
     return min(max(r2, 0.0), 1.0)
+
+
+def _r2_stack(x0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int | None, str]:
+    """R^2 of the tested block for a (k, b, .) stack of equal-size subsets,
+    the position of the first unusable subset (None if none is) and the
+    first reason of ``UNUSABLE`` it meets: the checks of
+    :class:`RegressionData` and :func:`reparametrize`, a centered response
+    that is zero up to ``_RANK_RTOL`` of the response, or a perfect fit.
+    """
+    z, v, dependent = _project(x0, y, x)
+    zz = np.einsum("kb,kb->k", z, z)
+    yy = np.einsum("kb,kb->k", y, y)
+    proj = np.linalg.qr(v)[0].mT @ z[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.clip(np.einsum("kpi,kpi->k", proj, proj) / zz, 0.0, 1.0)
+    failed = np.stack([
+        _rank_deficient(np.concatenate([x0, x], axis=2)),
+        dependent.any(axis=1),
+        zz <= _RANK_RTOL**2 * yy,
+        ~(r2 < 1.0),
+    ])
+    bad = failed.any(axis=0)
+    if not bad.any():
+        return r2, None, ""
+    j = int(bad.argmax())
+    return r2, j, UNUSABLE[int(failed[:, j].argmax())]
 
 
 @dataclass(frozen=True)
@@ -243,7 +284,7 @@ def log_stat(
         rho = stat.rho_at(n, k)
         return -0.5 * rho * math.log(n) - 0.5 * n * np.log1p(-r2), np.ones_like(r2)
     if np.any(n <= k + p0):
-        raise DataError(f"need n > p + p0, got n={n}, p={int(k.max())}, p0={p0}")
+        raise DataError(TOO_FEW_ROWS.format(n, int(k.max()), p0))
     if stat.kind == "zellner-siow":
         return _zs_batch(r2, n, k, p0)
     g = stat.g if stat.kind == "fixed-g" else float(n)

@@ -42,7 +42,6 @@ __all__ = [
     "CALIBRATION",
     "child_rng",
     "analytic_gaussian_sigma",
-    "classical_gaussian_sigma",
     "subsample_noise_scale",
     "gram_law",
     "draw_chunks",
@@ -174,13 +173,6 @@ def _gaussian_delta(sigma: float, epsilon: float, l2: float) -> float:
     a = l2 / (2.0 * sigma) - epsilon * sigma / l2
     b = -l2 / (2.0 * sigma) - epsilon * sigma / l2
     return float(np.exp(_log_ndtr(a)) - np.exp(epsilon + _log_ndtr(b)))
-
-
-def classical_gaussian_sigma(budget: PrivacyBudget, l2: float) -> float:
-    """Textbook sigma = sqrt(2 ln(1.25/delta)) l2 / epsilon (valid for eps <= 1)."""
-    if budget.delta <= 0:
-        raise WrongMechanismError("classical Gaussian bound needs delta > 0")
-    return math.sqrt(2.0 * math.log(1.25 / budget.delta)) * l2 / budget.epsilon
 
 
 def analytic_gaussian_sigma(budget: PrivacyBudget, l2: float) -> float:

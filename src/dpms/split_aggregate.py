@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, RankError, SplitInfeasibleError
-from .linmodel import _RANK_RTOL, GPriorSpec, InfoCriterionSpec, RegressionData, expit, log_stat
+from .linmodel import (TOO_FEW_ROWS, GPriorSpec, InfoCriterionSpec, RegressionData, _r2_stack,
+                       expit, log_stat)
 # Bound here because perfbench/tracing.py wraps them under dpms.split_aggregate.
 from .linmodel import log_bayes_factor, log_info_criterion, r_squared, reparametrize  # noqa: F401
 from .mechanisms import NoiseScale, PrivacyBudget, subsample_noise_scale
@@ -146,48 +147,6 @@ def release_means(
     return means
 
 
-# What each check of _r2_stack found, in its order.
-_UNUSABLE = (
-    "combined design [x0 x] is rank deficient",
-    "common predictor block x0 is rank deficient",
-    "centered response has zero sum of squares",
-    "the tested block fits the response exactly (R^2 = 1)",
-)
-
-
-def _r2_stack(x0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int | None, str]:
-    """R^2 of the tested block for a (k, b, .) stack of equal-size subsets,
-    the position of the first unusable subset (None if none is) and the
-    first check it fails.
-
-    An unusable subset has a rank-deficient [x0 x] or x0 (relative
-    singular-value or QR-diagonal tolerance ``_RANK_RTOL``), a centered
-    response that is zero up to ``_RANK_RTOL`` of the response, or a
-    perfect fit.
-    """
-    s = np.linalg.svd(np.concatenate([x0, x], axis=2), compute_uv=False)
-    q, r = np.linalg.qr(x0)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    z = y - (q @ (q.mT @ y[..., None]))[..., 0]
-    v = x - q @ (q.mT @ x)
-    zz = np.einsum("kb,kb->k", z, z)
-    yy = np.einsum("kb,kb->k", y, y)
-    proj = np.linalg.qr(v)[0].mT @ z[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.clip(np.einsum("kpi,kpi->k", proj, proj) / zz, 0.0, 1.0)
-    failed = np.stack([
-        s[:, -1] <= _RANK_RTOL * s[:, 0],
-        diag.min(axis=1) <= _RANK_RTOL * diag.max(axis=1),
-        zz <= _RANK_RTOL**2 * yy,
-        ~(r2 < 1.0),
-    ])
-    bad = failed.any(axis=0)
-    if not bad.any():
-        return r2, None, ""
-    j = int(bad.argmax())
-    return r2, j, _UNUSABLE[int(failed[:, j].argmax())]
-
-
 def per_subset_log_stats(
     data: RegressionData,
     plan: SplitPlan,
@@ -214,7 +173,7 @@ def per_subset_log_stats(
     for b in np.unique(sizes):
         idx = np.flatnonzero(sizes == b)
         if b <= data.p + data.p0:
-            reasons[int(idx[0])] = f"need n > p + p0, got n={b}, p={data.p}, p0={data.p0}"
+            reasons[int(idx[0])] = TOO_FEW_ROWS.format(b, data.p, data.p0)
             continue
         rows = order[starts[idx, None] + np.arange(b)]
         r2, j, reason = _r2_stack(data.x0[rows], data.x[rows], data.y[rows])

@@ -44,7 +44,6 @@ from dpms.mechanisms import (
     Sensitivity,
     analytic_gaussian_sigma,
     child_rng,
-    classical_gaussian_sigma,
     gram_law,
     wishart_dof,
     wishart_gram_error,
@@ -148,7 +147,8 @@ def test_c04_analytic_gaussian_calibration():
             sigma = analytic_gaussian_sigma(budget, 1.0)
             worst = max(worst, abs(_gaussian_delta(sigma, float(eps), 1.0) - delta))
             if eps <= 1.0:
-                assert sigma <= classical_gaussian_sigma(budget, 1.0)
+                # The classical sigma, sqrt(2 log(1.25/delta)) l2/epsilon, at l2 = 1.
+                assert sigma <= math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
     assert elapsed < 5.0

@@ -26,8 +26,8 @@ from dpms.split_aggregate import CensorBounds
 WIDE = CensorBounds(-1e12, 1e12)  # effectively uncensored
 
 
-def _null(samples, kind="lrt"):
-    return EmpiricalNull(np.sort(np.asarray(samples, dtype=float)), kind)
+def _null(samples):
+    return EmpiricalNull(np.sort(np.asarray(samples, dtype=float)))
 
 
 class TestCriticalValue:

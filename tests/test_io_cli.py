@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from dpms.cli import OPTIONS, REQUIRED, _resolve_argv, main, run_command
 from dpms.errors import ConfigError, DataError, RepairFailureError
 from dpms import io as dpms_io
-from dpms.io import hsb2_path, ingest_csv, load_hsb2, read_numeric_columns
+from dpms.io import hsb2_path, ingest_csv, read_numeric_columns
+from dpms.linmodel import UNUSABLE
 from dpms.mechanisms import CALIBRATION
 
 
@@ -111,6 +113,29 @@ class TestUnitBoxWarning:
         assert one == self._stderr(tmp_path, 500)
 
 
+class TestRankDeficientAbort:
+    """A private run on a collinear design exits 3 with the table's text,
+    which carries no number computed from the data."""
+
+    @pytest.mark.parametrize("command, flags", [("select", ["--data-entry-bound", "0.5"]),
+                                                ("test", ["--M", "5"])])
+    def test_message_is_the_table_text(self, tmp_path, capsys, command, flags):
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(-0.2, 0.2, size=400)
+        x2 = 2.0 * x1 + 1e-13 * rng.standard_normal(400)
+        y = 0.5 * x1 + rng.uniform(-0.2, 0.2, size=400)
+        path = tmp_path / "collinear.csv"
+        np.savetxt(path, np.column_stack([x1, x2, y]), fmt="%.17g", delimiter=",",
+                   header="x1,x2,y", comments="")
+        code = main([command, "--input", str(path), "--response", "y", "--x", "x1,x2",
+                     "--epsilon", "1", *flags, "--seed", "3", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RankError"
+        assert err["message"] == UNUSABLE[0]
+        assert re.search(r"\b\d", err["message"]) is None
+
+
 class TestFastIngest:
     def test_generated_file_bitwise_equal_to_float_reference(self, tmp_path, scans):
         rng = np.random.default_rng(7)
@@ -139,7 +164,7 @@ class TestFastIngest:
         assert got["a"].tobytes() == np.array([float(c) for c in cells]).tobytes()
 
     def test_fixture_bitwise_equal_to_float_reference(self, scans):
-        got = load_hsb2()
+        got = read_numeric_columns(hsb2_path())
         want = _float_reference(hsb2_path())
         assert scans == []
         assert list(got) == list(want)
@@ -232,7 +257,7 @@ class TestFastIngest:
 
 class TestFixture:
     def test_fixture_loads(self):
-        cols = load_hsb2()
+        cols = read_numeric_columns(hsb2_path())
         assert len(cols["math"]) == 200
         assert {"gender", "math", "read", "science"} <= set(cols)
 
@@ -316,7 +341,7 @@ class TestRunCommand:
         assert len(summary["inclusion"]) == 3
         # No raw response values leak into the artifacts.
         raw = (tmp_path / "s1" / "selection.json").read_text()
-        cols = load_hsb2()
+        cols = read_numeric_columns(hsb2_path())
         assert str(cols["math"][0]) not in raw
 
     def test_select_private_run_with_bounds(self, tmp_path):

@@ -8,7 +8,10 @@ import pytest
 
 from dpms import linmodel
 from dpms.errors import DataError, DegenerateResponseError, NumericError, RankError
+from dpms.gram import build_gram
 from dpms.linmodel import (
+    TOO_FEW_ROWS,
+    UNUSABLE,
     CenteredData,
     GPriorSpec,
     InfoCriterionSpec,
@@ -21,6 +24,7 @@ from dpms.linmodel import (
     zs_shrinkage,
 )
 from dpms.linmodel import _zs_quadrature
+from dpms.split_aggregate import SplitPlan, per_subset_log_stats
 
 
 def brute_force_zs_log_bf(r2, n, p, p0, npts=1_000_000):
@@ -111,6 +115,74 @@ class TestRegressionData:
         x = np.random.default_rng(0).standard_normal((20, 2))
         with pytest.raises(RankError):
             RegressionData(y=np.zeros(20), x0=x[:, :1], x=x[:, :1] * 2.0)
+
+
+def _subset_1_unusable(reason):
+    """per_subset_log_stats on three subsets of which subset 1 meets
+    ``reason``: an index of ``UNUSABLE`` or "rows" (too few rows)."""
+    rng = np.random.default_rng(9)
+    x0 = np.column_stack([np.ones(60), rng.standard_normal(60)])
+    x = rng.standard_normal((60, 2))
+    y = rng.standard_normal(60)
+    sizes = [20, 20, 20]
+    if reason == 0:
+        x[20:40, 1] = 2.0 * x[20:40, 0]
+    elif reason == 2:
+        y[20:40] = 3.0
+    elif reason == 3:
+        # x0 = intercept; y = x[:, 0], both +-1: R^2 rounds to 1 here.
+        x0, x[20:40, 0] = x0[:, :1], np.tile([-1.0, 1.0], 10)
+        y[20:40] = x[20:40, 0]
+    else:
+        sizes = [28, 4, 28]
+    plan = SplitPlan(M=3, assignment=np.repeat([0, 1, 2], sizes), seed=0)
+    per_subset_log_stats(RegressionData(y=y, x0=x0, x=x), plan, InfoCriterionSpec.bic())
+
+
+def _x0_rank_deficient():
+    # [x0 x] would be rejected first, so the checks of RegressionData are skipped.
+    rng = np.random.default_rng(4)
+    data = RegressionData.__new__(RegressionData)
+    data.y, data.x = rng.standard_normal(25), rng.standard_normal((25, 1))
+    data.x0 = np.column_stack([np.ones(25), np.full(25, 3.0)])
+    reparametrize(data)
+
+
+_ZERO_RESPONSE = CenteredData(z=np.zeros(5), v=np.ones((5, 1)))
+_COLLINEAR = np.random.default_rng(0).standard_normal((20, 1))
+_SUBSET_1 = "subset 1 of the split is unusable: "
+
+# Each route that can meet a reason of UNUSABLE, or too few rows: the call,
+# its error type and its exact text.  A subset never reports reason 1: an
+# x0 that the QR flags has its [x0 x] flagged first, since the smallest
+# singular value of x0 bounds that of [x0 x] from above.
+_UNUSABLE_ROUTES = {
+    "RegressionData-design": (
+        lambda: RegressionData(y=np.zeros(20), x0=_COLLINEAR, x=2.0 * _COLLINEAR),
+        RankError, UNUSABLE[0]),
+    "RegressionData-rows": (
+        lambda: RegressionData(y=np.zeros(3), x0=np.ones((3, 1)), x=np.eye(3)[:, :2]),
+        DataError, TOO_FEW_ROWS.format(3, 2, 1)),
+    "reparametrize-x0": (_x0_rank_deficient, RankError, UNUSABLE[1]),
+    "r_squared-response": (lambda: r_squared(_ZERO_RESPONSE), DegenerateResponseError,
+                           UNUSABLE[2]),
+    "build_gram-response": (lambda: build_gram(_ZERO_RESPONSE), DegenerateResponseError,
+                            UNUSABLE[2]),
+    "log_stat-rows": (lambda: log_stat(np.array([0.5]), 4, 3, 1, GPriorSpec.sample_size()),
+                      DataError, TOO_FEW_ROWS.format(4, 3, 1)),
+    **{f"per_subset_log_stats-{reason}": (lambda reason=reason: _subset_1_unusable(reason),
+                                          RankError, _SUBSET_1 + text)
+       for reason, text in ((0, UNUSABLE[0]), (2, UNUSABLE[2]), (3, UNUSABLE[3]),
+                            ("rows", TOO_FEW_ROWS.format(4, 2, 2)))},
+}
+
+
+@pytest.mark.parametrize("route", _UNUSABLE_ROUTES)
+def test_unusable_routes_raise_the_table_text(route):
+    call, error, text = _UNUSABLE_ROUTES[route]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == text
 
 
 class TestReparametrize:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpms.errors import ConfigError, RankError, SplitInfeasibleError
-from dpms.io import load_hsb2
+from dpms.io import hsb2_path, read_numeric_columns
 from dpms.linmodel import (
     GPriorSpec,
     InfoCriterionSpec,
@@ -126,7 +126,7 @@ class TestPerSubsetLogStats:
         assert got[0] == pytest.approx(got[1], abs=1e-12)
 
     def test_fixture_halves_match_standalone_regressions(self):
-        cols = load_hsb2()
+        cols = read_numeric_columns(hsb2_path())
         data = RegressionData(y=cols["math"], x0=np.ones((200, 1)), x=cols["gender"])
         plan = make_split(200, 2, 3, seed=11)
         got = per_subset_log_stats(data, plan, InfoCriterionSpec.bic())

@@ -10,7 +10,10 @@ relative ``--out``.  The list covers select, region, simulate, test and
 calibrate, across every mechanism (Laplace, Wishart, analytic Gaussian,
 ``--no-noise``), every prior and both model priors, with Wishart regions
 at alpha 0.05, 0.5 and 0.01, on the bundled ``hsb2.csv`` and on a
-generated CSV whose cells lie inside (-0.5, 0.5).
+generated CSV whose cells lie inside (-0.5, 0.5).  Two error paths close
+the list: a private select and a private test on a generated CSV whose
+two predictors are collinear, which both sides should reject with exit
+code 3.
 
 For every artifact the script prints ``identical`` or the largest
 absolute and relative difference over its numeric fields, then any
@@ -19,9 +22,10 @@ only.  For a CSV it also names the data rows that moved and, over those
 rows, the distinct values of each non-numeric column (``method: WM,
 WMT``).  ``generated_at`` is ignored.  The last line counts the
 identical artifacts, the moved ones, those on one side only and the
-commands whose exit codes differ.  It reports; it applies no tolerance.
-The exit status is 1 when a command's exit code differs between the
-sides, 0 otherwise.
+commands whose exit codes differ; a nonzero exit code that both sides
+share is printed too.  It reports; it applies no tolerance.  The exit
+status is 1 when a command's exit code differs between the sides, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 
 HSB2 = "{hsb2}"
 BOX = "{box}"
+COLLINEAR = "{collinear}"
 BOX_X = "x1,x2,x3,x4,x5"
 BOX_P = 5
 HSB2_X = "read,write,math,socst"
@@ -136,6 +141,12 @@ def commands() -> list[tuple[str, list[str]]]:
         ("calibrate-pvalue", [*cal, "--statistic", "pvalue", "--M", "6", "--L", "0", "--U", "1",
                               "--seed", "55"]),
     ]
+    collinear = ["--input", COLLINEAR, "--response", "y", "--x", "x1,x2", "--epsilon", "1"]
+    cmds += [
+        ("select-collinear-laplace",
+         ["select", *collinear, "--data-entry-bound", "0.5", "--seed", "3"]),
+        ("test-collinear-g", ["test", *collinear, "--M", "5", "--seed", "3"]),
+    ]
     return cmds
 
 
@@ -147,6 +158,27 @@ def write_box_csv(path: Path, n: int = 3000, seed: int = 2024) -> None:
     header = ",".join([f"x{j + 1}" for j in range(BOX_P)] + ["y"])
     np.savetxt(path, np.column_stack([x, y]), fmt="%.17g", delimiter=",", header=header,
                comments="")
+
+
+def write_collinear_csv(path: Path, n: int = 400, seed: int = 2025) -> None:
+    """x1 Uniform(-0.2, 0.2) and x2 = 2 x1 up to noise of scale 1e-13, so
+    [x0 x] is rank deficient; y adds bounded noise to x1."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(-0.2, 0.2, size=n)
+    x2 = 2.0 * x1 + 1e-13 * rng.standard_normal(n)
+    y = 0.5 * x1 + rng.uniform(-0.2, 0.2, size=n)
+    np.savetxt(path, np.column_stack([x1, x2, y]), fmt="%.17g", delimiter=",",
+               header="x1,x2,y", comments="")
+
+
+def write_inputs(work: Path, src: Path) -> dict[str, Path]:
+    """Write the generated CSVs into ``work``: the paths that fill the
+    argv templates of :func:`commands`, the fixture's taken from ``src``."""
+    paths = {"hsb2": src / "dpms" / "data" / "hsb2.csv", "box": work / "box.csv",
+             "collinear": work / "collinear.csv"}
+    write_box_csv(paths["box"])
+    write_collinear_csv(paths["collinear"])
+    return paths
 
 
 def run_side(src: Path, side_dir: Path, name: str, argv: list[str]) -> int:
@@ -261,13 +293,11 @@ def main(argv=None) -> int:
     tally = dict.fromkeys(("identical", "moved", "one side only", "exit-code mismatches"), 0)
     with tempfile.TemporaryDirectory(prefix="dpms-compare-") as tmp:
         work = Path(tmp)
-        box = work / "box.csv"
-        write_box_csv(box)
-        hsb2 = srcs["parent"] / "dpms" / "data" / "hsb2.csv"
+        inputs = write_inputs(work, srcs["parent"])
         for side in srcs:
             (work / side).mkdir()
         for name, argv_tpl in commands():
-            argv_cmd = [arg.format(hsb2=hsb2, box=box) for arg in argv_tpl]
+            argv_cmd = [arg.format(**inputs) for arg in argv_tpl]
             codes = {side: run_side(src, work / side, name, argv_cmd)
                      for side, src in srcs.items()}
             if codes["parent"] != codes["change"]:
@@ -275,6 +305,8 @@ def main(argv=None) -> int:
                       f"vs {codes['change']} (change)")
                 tally["exit-code mismatches"] += 1
                 continue
+            if codes["parent"]:
+                print(f"{name}: exit code {codes['parent']} on both sides")
             dirs = {side: work / side / "out" / name for side in srcs}
             files = sorted({p.name for d in dirs.values() if d.exists() for p in d.iterdir()})
             if not files:
