@@ -139,7 +139,9 @@ OPTIONS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(named) -> argparse.ArgumentParser:
+    """The command-line parser, with the options of the commands in ``named``
+    (every command has a subparser, so help and errors list them all)."""
     parser = argparse.ArgumentParser(
         prog="dpms",
         description="Differentially private model uncertainty for linear regression",
@@ -149,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # Absent flags stay absent, so the config file and the table fill them.
         sp = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON configuration file; flags override it")
-        for option in OPTIONS:
+        for option in OPTIONS if command in named else ():
             tags = [r.partition("[")[2][:-1] for r in option.readers
                     if r.partition("[")[0] == command]
             if tags:
@@ -206,8 +208,11 @@ def _resolve(given: dict) -> dict:
 
 def _resolve_argv(argv) -> dict:
     """The configuration a command line runs with: its config file, then
-    its flags, then the table's defaults."""
-    args = vars(_build_parser().parse_args(argv))
+    its flags, then the table's defaults.  Only the commands that argv
+    names get their options: adding every command's takes about 1 ms more
+    a call."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = vars(_build_parser(set(argv)).parse_args(argv))
     given = {}
     if "config" in args:
         path = Path(args.pop("config"))

@@ -28,12 +28,15 @@ class DataError(DpmsError, ValueError):
 class RankError(DataError):
     """A design matrix is rank deficient.
 
-    ``column`` is the index of the first offending column when known.
+    ``column`` is the index of the first offending column when known, and
+    ``subset`` that of the first unusable subset of a split, which the
+    message leaves out.
     """
 
-    def __init__(self, message: str, column: int | None = None):
+    def __init__(self, message: str, column: int | None = None, subset: int | None = None):
         super().__init__(message)
         self.column = column
+        self.subset = subset
 
 
 class DegenerateResponseError(DataError):

@@ -149,10 +149,11 @@ def pd_repair(chain: GramChain, *, r: float | None = None) -> GramChain:
     auto = r is None
     r = chain.law.repair_shift if auto else float(r)
     candidate = base + r * np.eye(base.shape[0])
-    if auto and _min_eig(candidate) <= 0.0:
+    w_min = _min_eig(candidate)
+    if auto and w_min <= 0.0:
         r = 3.0 * abs(_min_eig(base))
         candidate = base + r * np.eye(base.shape[0])
-    w_min = _min_eig(candidate)
+        w_min = _min_eig(candidate)
     if w_min <= 0.0:
         raise RepairFailureError(
             "matrix is not positive definite after repair",

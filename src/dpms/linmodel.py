@@ -337,10 +337,11 @@ def _zs_batch(r2: np.ndarray, n: int, p, p0: int) -> tuple[np.ndarray, np.ndarra
     shift = np.log1p(-flat)
 
     def ell(s, rows):
-        # l at the nodes s (R, T) of the values ``rows`` (R,).  Nodes lie
-        # within w sinh(6) < 202 of a mode in [-40, 80 + log n], so e^s
-        # cannot overflow; capping e^(-s) only touches nodes already
-        # e^(-1e260) below the peak.  In place, to hold few arrays at once.
+        # l at the nodes s (R, T) of the values ``rows`` (R,), and e^(-s),
+        # from which sigma(s) = 1/(1 + e^(-s)) is bitwise expit's.  Nodes
+        # lie within w sinh(6) < 202 of a mode in [-40, 80 + log n], so
+        # neither e^s nor e^(-s) can overflow.  In place, to hold few arrays
+        # at once.
         r2 = flat[rows, None]
         g = np.exp(s)
         u = g * (1.0 - r2)
@@ -352,8 +353,9 @@ def _zs_batch(r2: np.ndarray, n: int, p, p0: int) -> tuple[np.ndarray, np.ndarra
         u *= half_p[rows, None]
         out -= u
         out -= 0.5 * s
-        out -= 0.5 * n * np.exp(-np.maximum(s, -600.0))
-        return out
+        decay = np.exp(-s)
+        out -= 0.5 * n * decay
+        return out, decay
 
     mode, step = np.full_like(flat, -40.0), 120.0 + math.log(n)
     for _ in range(18):
@@ -365,9 +367,9 @@ def _zs_batch(r2: np.ndarray, n: int, p, p0: int) -> tuple[np.ndarray, np.ndarra
     w = np.minimum(1.0, (0.5 * n * np.exp(-mode) - a * expit(mode) * expit(-mode)
                          + b * expit(mode + shift) * expit(-mode - shift)) ** -0.5)
     idx = np.arange(flat.size)
-    peak = ell(mode[:, None], idx)[:, 0]
+    peak = ell(mode[:, None], idx)[0][:, 0]
     ends = mode[:, None] + (w * math.sinh(6.0))[:, None] * np.array([-1.0, 1.0])
-    wide = np.flatnonzero(ell(ends, idx).max(axis=1) - peak > math.log(1e-16 / math.cosh(6.0)))
+    wide = np.flatnonzero(ell(ends, idx)[0].max(axis=1) - peak > math.log(1e-16 / math.cosh(6.0)))
     if wide.size:
         raise NumericError("Zellner-Siow integrand is not negligible at the ends of its range",
                            {"r2": float(flat[wide[0]]), "n": n, "p": int(sizes[wide[0]]),
@@ -383,8 +385,12 @@ def _zs_batch(r2: np.ndarray, n: int, p, p0: int) -> tuple[np.ndarray, np.ndarra
         for j in range(0, idx.size, block):
             rows = idx[j:j + block]
             s = mode[rows, None] + w[rows, None] * np.sinh(t)
-            f = np.exp(ell(s, rows) - peak[rows, None]) * np.cosh(t)
-            more[:, j:j + block] = f.sum(axis=1), (expit(s) * f).sum(axis=1)
+            log_f, sigma = ell(s, rows)
+            f = np.exp(log_f - peak[rows, None]) * np.cosh(t)
+            sigma += 1.0
+            np.divide(1.0, sigma, out=sigma)
+            sigma *= f
+            more[:, j:j + block] = f.sum(axis=1), sigma.sum(axis=1)
         done = np.abs(more[0] - total[0]) <= 1e-8 * (total[0] + more[0])
         total += more
         hit = idx[done]

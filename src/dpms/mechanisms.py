@@ -10,8 +10,9 @@ entry's absolute value (for hard thresholds), the auto PD repair's
 shift, and the central acceptance set whose ``draws`` confidence regions
 sample; these calibrations read the law alone and are drawn once per law
 (:class:`_CalibratedLaw`).  The Wishart ball tests spectral norms against
-its radius, which is itself a quantile of spectral norms; both screen the
-norms with bounds built from matrix products and traces
+its radius, which is itself a quantile of spectral norms, and the repair
+shift is a quantile of smallest eigenvalues; all three screen the draws
+with bounds built from matrix products and traces
 (:func:`_spectral_norm_bounds`, widened by a stated rounding margin) and
 call eigvalsh only on the draws the bounds cannot place, so each result
 equals that of an eigvalsh on every draw.  A Laplace or zero stack equals
@@ -59,11 +60,14 @@ REPAIR_DRAWS = 1000
 CALIBRATION = 0
 # Largest stack of Gram error draws formed at once.
 DRAW_CHUNK = 2_000
-# Squarings behind the spectral-norm bounds (on the ball radius at p = 5-12,
-# six timed 4-8% faster than five and within 1% of seven), and their
-# relative margin per m^3.
+# Squarings behind the spectral-norm bounds, and their relative margin per
+# m^3.  On the ball radius at alpha = 0.05, six timed as fast as five and
+# seven at p = 5 and 10-14% faster than either at p = 12; at alpha = 0.5,
+# seven was 4-15% faster than six.
 SCREEN_SQUARINGS = 6
 SCREEN_MARGIN = 1e-12
+# The normal range of float64, which a matrix's sum of squares must lie in.
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 # Bracketing and bisection steps allowed in analytic_gaussian_sigma.
 SIGMA_MAX_ITER = 500
 
@@ -318,12 +322,15 @@ class _CalibratedLaw:
 
     @property
     def repair_shift(self) -> float:
-        """The auto PD repair's r: the 99th percentile of -lambda_min(E)
-        over REPAIR_DRAWS draws of the law."""
+        """The auto PD repair's r: the 99th percentile of max(-lambda_min(E),
+        0) over REPAIR_DRAWS draws of the law, bitwise that of an eigvalsh
+        on every draw.  :func:`_shift_bounds` brackets each draw's value and
+        eigvalsh runs only on the draws :func:`_screened_quantile` needs."""
         def shift(rng):
-            mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0]
-                                   for e in draw_chunks(self, REPAIR_DRAWS, rng)])
-            return float(np.quantile(np.maximum(-mins, 0.0), 0.99))
+            e = np.concatenate(list(draw_chunks(self, REPAIR_DRAWS, rng)))
+            lo, hi = _shift_bounds(e)
+            return _screened_quantile(
+                lo, hi, 0.99, lambda rows: np.maximum(-np.linalg.eigvalsh(e[rows])[:, 0], 0.0))
         return self._calibrated(0, None, shift)
 
 
@@ -601,35 +608,73 @@ def _screened_quantile(lo: np.ndarray, hi: np.ndarray, q: float, exact) -> float
 def _spectral_norm_bounds(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo <= :func:`_spectral_norms` (e) <= hi, from matmuls alone.
 
-    Each m x m matrix is scaled by its largest absolute entry s, so no
-    product can overflow or underflow to zero.  With j = SCREEN_SQUARINGS
-    and P = (E/s)^(2^j), which is PSD, tr(P^2)/tr(P) <= lambda_max(P) <=
-    tr(P) and ||E||_2 = s lambda_max(P)^(2^-j).  Each squaring divides by
-    its trace and adds the trace's log to a running exponent, so every
-    stored matrix has trace 1.  A ratio r < 1 of the two largest |eigenvalues|
-    leaves hi/lo - 1 near r^(2^j) / 2^(j-1); a top |eigenvalue| of
-    multiplicity d (a pair +-lambda has d = 2) leaves d^(2^-j).  The bounds
-    are widened by SCREEN_MARGIN m^3 relative: the rounding of the products
-    and traces moves lambda_max by at most about m^3 u relative and
-    eigvalsh's own result by about m u ||E||_2 (u = 1.1e-16), so the margin
-    exceeds both some 9,000 times.
+    Each m x m matrix E is divided by its Frobenius norm s, so every
+    |eigenvalue| of Q = E/s is at most 1 and the largest at least m^-1/2.
+    With j = SCREEN_SQUARINGS, Q is squared j times with no rescaling in
+    between, to P = Q^(2^j), which is PSD with ||E||_2 = s x^(2^-j) for x
+    its largest eigenvalue.  tr(P^2) lies in [m^(-2^j), m], so nothing
+    overflows, and nothing that matters underflows, while m^(2^j) <
+    2^1022: at j = 6 for m up to 60,000, at j = 7 still for m = 21
+    (ENUMERATION_GUARD + 1).  With t = tr(P) and w = tr(P^2), P's other
+    eigenvalues lie in [0, x] and sum to t - x, so their squares sum to
+    w - x^2 <= min(x, t - x) (t - x).  Hence x <= sqrt(w), x >= w/t, and
+    x >= (t + sqrt(2w - t^2))/2 where 2w > t^2 (then x >= w/t > t/2); that
+    last bound is used only where 2w - t^2 >= t^2/4, which keeps its
+    rounding error within a few times that of w/t.  A ratio r < 1 of the
+    two largest |eigenvalues| of E leaves hi/lo - 1 of order r^(2^(j+1)) /
+    2^(j+1); a top |eigenvalue| of multiplicity d (a pair +-lambda has d =
+    2) leaves d^(2^-(j+1)).  A zero, subnormal or
+    infinite s^2 (entries beyond about 1e+-154) gives no scale: such a
+    matrix gets lo = hi = 0 if it is zero and the trivial bracket [0, inf]
+    otherwise.  The bounds are widened by SCREEN_MARGIN m^3 relative: each
+    squaring of a matrix A errs by at most about m u |A|^2, which moves
+    its top eigenvalue by m^2 u relative, and the 2^-j root scales the
+    error of squaring i by 2^-i, so the products and traces move the
+    bounds by about m^2 u relative and eigvalsh's own result errs by about
+    m u ||E||_2 (u = 1.1e-16); the margin exceeds both some 9,000 times.
     """
-    n, m = len(e), e.shape[-1]
-    s = np.abs(e).reshape(n, -1).max(axis=1)
-    zero = s == 0.0
-    q = e / np.where(zero, 1.0, s)[:, None, None]
-    q[zero] = np.eye(m)  # any finite q: lo = hi = s = 0
-    log_top = np.zeros(n)
+    m = e.shape[-1]
+    ss = np.einsum("nij,nij->n", e, e)
+    odd = np.flatnonzero(~((ss >= _TINY) & (ss <= _HUGE)))
+    s = np.sqrt(ss)
+    s[odd] = 1.0
+    q = e / s[:, None, None]
+    q[odd] = np.eye(m)
     for _ in range(SCREEN_SQUARINGS):
         q = q @ q
-        t = np.einsum("nii->n", q)
-        q /= t[:, None, None]
-        log_top = 2.0 * log_top + np.log(t)
+    t = np.einsum("nii->n", q)
+    w = np.einsum("nij,nij->n", q, q)
+    gap = 2.0 * w - t * t
+    x_lo = np.maximum(w / t, np.where(gap >= 0.25 * t * t, 0.5 * (t + np.sqrt(np.abs(gap))), 0.0))
     root = 0.5**SCREEN_SQUARINGS
-    hi = s * np.exp(root * log_top)
-    lo = hi * np.einsum("nij,nij->n", q, q) ** root
     margin = SCREEN_MARGIN * m**3
-    return lo * (1.0 - margin), hi * (1.0 + margin)
+    lo = s * x_lo**root * (1.0 - margin)
+    hi = s * w ** (0.5 * root) * (1.0 + margin)
+    lo[odd] = 0.0
+    hi[odd] = np.where(e[odd].any(axis=(1, 2)), np.inf, 0.0)
+    return lo, hi
+
+
+def _shift_bounds(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= max(-lambda_min(E), 0) <= hi for each matrix of
+    a stack, lambda_min as eigvalsh gives it, from :func:`_spectral_norm_bounds`.
+
+    The Gershgorin bound c = max_i (E_ii + sum_(j != i) |E_ij|) is at least
+    lambda_max(E), so F = cI - E is PSD and ||F||_2 = c - lambda_min(E).
+    Forming F rounds its diagonal by u |c - E_ii|, a rounded c can fall
+    short of lambda_max(E) by about m u ||E||_2, eigvalsh errs by about
+    m u ||E||_2 and subtracting c rounds by u |hi - c|; with ||E||_2 <= |c|
+    + ||F||_2, each is at most a few m u (|c| + hi), which the widening by
+    SCREEN_MARGIN m^3 (|c| + hi) exceeds many times.
+    """
+    m = e.shape[-1]
+    diag = np.einsum("nii->ni", e)
+    c = (np.abs(e).sum(axis=2) - np.abs(diag) + diag).max(axis=1)
+    f = -e
+    f[:, np.arange(m), np.arange(m)] += c[:, None]
+    lo, hi = _spectral_norm_bounds(f)
+    slack = SCREEN_MARGIN * m**3 * (np.abs(c) + hi)
+    return np.maximum(lo - c - slack, 0.0), np.maximum(hi - c + slack, 0.0)
 
 
 class _Origin:

@@ -158,8 +158,10 @@ def per_subset_log_stats(
     (so the sample-size g-prior uses g = b_i, and AIC resolves rho at
     b_i), in one batched pass per distinct subset size.  An unusable
     subset (too few rows, a rank-deficient design, a degenerate
-    response) is a hard error naming the first such subset; silently
-    dropping it would change the privacy analysis.
+    response) is a hard error; silently dropping it would change the
+    privacy analysis.  The message gives the reason alone: the index of
+    the first such subset, which with the recorded seed locates its rows,
+    is the error's ``subset`` attribute.
     """
     if plan.n != data.n:
         raise DataError(f"split plan covers {plan.n} rows but data has {data.n}")
@@ -183,7 +185,7 @@ def per_subset_log_stats(
         out[idx] = log_stat(r2, int(b), data.p, data.p0, stat)[0]
     if reasons:
         i = min(reasons)
-        raise RankError(f"subset {i} of the split is unusable: {reasons[i]}")
+        raise RankError(f"a subset of the split is unusable: {reasons[i]}", subset=i)
     return out
 
 

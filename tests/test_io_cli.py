@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpms.cli import OPTIONS, REQUIRED, _resolve_argv, main, run_command
+from dpms.cli import _COMMANDS, OPTIONS, REQUIRED, _build_parser, _resolve_argv, main, run_command
 from dpms.errors import ConfigError, DataError, RepairFailureError
 from dpms import io as dpms_io
 from dpms.io import hsb2_path, ingest_csv, read_numeric_columns
@@ -846,6 +846,46 @@ def test_flags_and_config_file_resolve_to_the_same_config(command, data):
     assert from_flags == from_file
     assert json.dumps(from_flags, sort_keys=True) == json.dumps(from_file, sort_keys=True)
     assert {option.dest for option, _ in chosen} <= set(from_flags)
+
+
+def _parse_exit(parse, argv, capsys):
+    """The exit code and the (stdout, stderr) text of a parse that exits."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    return stop.value.code, tuple(capsys.readouterr())
+
+
+# A parser with every command's options is what each command line met
+# before options went only to the command that runs.
+def _every_option(argv):
+    return _build_parser(_COMMANDS).parse_args(argv)
+
+
+def test_top_level_help_is_unchanged(capsys):
+    got = _parse_exit(main, ["--help"], capsys)
+    assert got == _parse_exit(_every_option, ["--help"], capsys)
+    assert got[0] == 0 and all(command in got[1][0] for command in _COMMANDS)
+
+
+@pytest.mark.parametrize("command", ["test", "calibrate", "select", "region", "simulate"])
+def test_command_help_is_unchanged(command, capsys):
+    got = _parse_exit(main, [command, "--help"], capsys)
+    assert got == _parse_exit(_every_option, [command, "--help"], capsys)
+    assert got[0] == 0 and "--seed" in got[1][0]
+
+
+def test_unknown_command_exits_as_before(capsys):
+    got = _parse_exit(main, ["frobnicate", "--seed", "1"], capsys)
+    assert got == _parse_exit(_every_option, ["frobnicate", "--seed", "1"], capsys)
+    assert got[0] == 2 and "invalid choice: 'frobnicate'" in got[1][1]
+
+
+@pytest.mark.parametrize("argv", [["select", "--seed", "1", "--bogus", "2"],
+                                  ["region", "--nsamples", "many"]], ids=["unknown", "bad-value"])
+def test_bad_flag_exits_as_before(argv, capsys):
+    got = _parse_exit(main, argv, capsys)
+    assert got == _parse_exit(_every_option, argv, capsys)
+    assert got[0] == 2 and got[1][1]
 
 
 _COMMAND_PATHS = """

@@ -150,7 +150,7 @@ def _x0_rank_deficient():
 
 _ZERO_RESPONSE = CenteredData(z=np.zeros(5), v=np.ones((5, 1)))
 _COLLINEAR = np.random.default_rng(0).standard_normal((20, 1))
-_SUBSET_1 = "subset 1 of the split is unusable: "
+_SUBSET = "a subset of the split is unusable: "
 
 # Each route that can meet a reason of UNUSABLE, or too few rows: the call,
 # its error type and its exact text.  A subset never reports reason 1: an
@@ -171,7 +171,7 @@ _UNUSABLE_ROUTES = {
     "log_stat-rows": (lambda: log_stat(np.array([0.5]), 4, 3, 1, GPriorSpec.sample_size()),
                       DataError, TOO_FEW_ROWS.format(4, 3, 1)),
     **{f"per_subset_log_stats-{reason}": (lambda reason=reason: _subset_1_unusable(reason),
-                                          RankError, _SUBSET_1 + text)
+                                          RankError, _SUBSET + text)
        for reason, text in ((0, UNUSABLE[0]), (2, UNUSABLE[2]), (3, UNUSABLE[3]),
                             ("rows", TOO_FEW_ROWS.format(4, 2, 2)))},
 }
@@ -183,6 +183,8 @@ def test_unusable_routes_raise_the_table_text(route):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == text
+    if route.startswith("per_subset_log_stats"):
+        assert err.value.subset == 1  # named only in the attribute
 
 
 class TestReparametrize:

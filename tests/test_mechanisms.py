@@ -19,6 +19,7 @@ from dpms.mechanisms import (
     ZeroGramLaw,
     analytic_gaussian_sigma,
     child_rng,
+    gram_law,
     laplace_gram_error,
     laplace_gram_scale,
     subsample_noise_scale,
@@ -30,6 +31,7 @@ from dpms.mechanisms import (
     _LaplaceBox,
     _log_ndtr,
     _screened_quantile,
+    _shift_bounds,
     _spectral_norm_bounds,
     _spectral_norms,
     _WishartBall,
@@ -382,6 +384,14 @@ def _eigvalsh_radius(law, alpha):
     return float(np.quantile(norms, 1.0 - alpha))
 
 
+def _eigvalsh_shift(law):
+    """The repair shift from an eigvalsh on every calibration draw."""
+    rng = child_rng(law.seed, CALIBRATION, 0)
+    mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0] for e in
+                           mechanisms.draw_chunks(law, mechanisms.REPAIR_DRAWS, rng)])
+    return float(np.quantile(np.maximum(-mins, 0.0), 0.99))
+
+
 def _eigvalsh_ball_draws(ball, n, rng):
     """The ball's rejection sampling with an eigvalsh on every draw."""
     kept, found = [], 0
@@ -400,8 +410,27 @@ _SPECTRA = {
     "repeated-top": lambda rng, m: np.concatenate([np.ones(m // 2 + 1),
                                                    rng.uniform(-0.5, 0.5, m - m // 2 - 1)]),
     "rank-one": lambda rng, m: np.concatenate([[-1.0], np.zeros(m - 1)]),
+    "identity": lambda rng, m: np.full(m, rng.choice([-1.0, 1.0])),
     "zero": lambda rng, m: np.zeros(m),
 }
+
+
+def _spectral_stack(m, kind, exponent, seed):
+    """Four symmetric m x m matrices with spectra of ``kind`` times 10^exponent."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(4):
+        lam = _SPECTRA[kind](rng, m) * 10.0**exponent
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        e = (q * lam) @ q.T
+        stack.append(0.5 * (e + e.T))
+    return np.stack(stack)
+
+
+def _law(name, p):
+    """The Laplace or Wishart Gram law of the bitwise calibration checks."""
+    budget = PrivacyBudget(1.0, 1e-5 if name == "wishart" else 0.0)
+    return gram_law(p, budget, Sensitivity(0.5, 0.5 * math.sqrt(p + 1)), seed=p)
 
 
 class TestSpectralNormScreen:
@@ -412,20 +441,33 @@ class TestSpectralNormScreen:
     @given(m=st.integers(2, 21), kind=st.sampled_from(sorted(_SPECTRA)),
            exponent=st.floats(-150.0, 150.0), seed=st.integers(0, 2**32 - 1))
     def test_bounds_bracket_the_eigvalsh_norm(self, m, kind, exponent, seed):
-        rng = np.random.default_rng(seed)
-        stack = []
-        for _ in range(4):
-            lam = _SPECTRA[kind](rng, m) * 10.0**exponent
-            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            e = (q * lam) @ q.T
-            stack.append(0.5 * (e + e.T))
-        e = np.stack(stack)
+        e = _spectral_stack(m, kind, exponent, seed)
         lo, hi = _spectral_norm_bounds(e)
         norms = _spectral_norms(e)
         assert np.all(lo <= norms) and np.all(norms <= hi)
-        # tr(P^2) >= tr(P)^2 / m, so the bracket is never wider than this.
+        # hi/lo <= sqrt(tr(P^2)) / (tr(P^2)/tr(P)) <= sqrt(m), so the bracket
+        # is never wider than this.
         root = 0.5**mechanisms.SCREEN_SQUARINGS
-        assert np.all(lo >= hi * m**-root * (1.0 - 3e-12 * m**3))
+        assert np.all(lo >= hi * m ** (-0.5 * root) * (1.0 - 3e-12 * m**3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(2, 21), kind=st.sampled_from(sorted(_SPECTRA)),
+           exponent=st.floats(-150.0, 150.0), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(-1.5, 1.5))
+    def test_shift_bounds_bracket_the_eigvalsh_shift(self, m, kind, exponent, seed, shift):
+        # A shift of the spectrum moves lambda_min across zero and off it.
+        e = _spectral_stack(m, kind, exponent, seed)
+        e += shift * 10.0**exponent * np.eye(m)
+        lo, hi = _shift_bounds(e)
+        x = np.maximum(-np.linalg.eigvalsh(e)[:, 0], 0.0)
+        assert np.all(lo <= x) and np.all(x <= hi)
+
+    def test_unscaled_matrices_get_trivial_bounds(self):
+        # Sums of squares that underflow or overflow give no scale.
+        e = np.stack([np.eye(3) * 1e-170, np.eye(3) * 1e160, np.zeros((3, 3)), np.eye(3)])
+        lo, hi = _spectral_norm_bounds(e)
+        assert lo.tolist()[:3] == [0.0, 0.0, 0.0] and hi.tolist()[:3] == [np.inf, np.inf, 0.0]
+        assert lo[3] <= 1.0 <= hi[3] < 1.1
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5, 0.95])
     @pytest.mark.parametrize("n", [2001, 4801, 4567])
@@ -447,7 +489,7 @@ class TestSpectralNormScreen:
 
     @pytest.mark.parametrize("n", [1201, 1167], ids=["integer-index", "fractional-index"])
     @pytest.mark.parametrize("screen", ["exact", "loose", "none"])
-    @pytest.mark.parametrize("p", [1, 2, 5, 8])
+    @pytest.mark.parametrize("p", [1, 2, 5, 8, 12, 20])
     def test_ball_radius_is_the_eigvalsh_quantile(self, monkeypatch, p, screen, n):
         # n - 1 = 1200 makes (n-1)(1-alpha) an integer at every alpha
         # below; both n leave a partial last stack of 500.  Loosened bounds
@@ -469,6 +511,21 @@ class TestSpectralNormScreen:
             a, b = np.random.default_rng(40), np.random.default_rng(40)
             assert np.array_equal(ball.draws(300, a), _eigvalsh_ball_draws(ball, 300, b))
             assert a.random() == b.random()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_full_size_radius_is_the_eigvalsh_quantile(self, alpha):
+        law = _law("wishart", 5)
+        assert law.ball_radius(alpha) == _eigvalsh_radius(law, alpha)
+
+    @pytest.mark.parametrize("screen", ["exact", "none"])
+    @pytest.mark.parametrize("p", [1, 5, 12, 20])
+    @pytest.mark.parametrize("name", ["laplace", "wishart"])
+    def test_repair_shift_is_the_eigvalsh_quantile(self, monkeypatch, name, p, screen):
+        if screen == "none":
+            monkeypatch.setattr(mechanisms, "_shift_bounds",
+                                lambda e: (np.zeros(len(e)), np.full(len(e), np.inf)))
+        law = _law(name, p)
+        assert law.repair_shift == _eigvalsh_shift(law)
 
 
 class TestChildRng:

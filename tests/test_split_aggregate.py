@@ -144,8 +144,9 @@ class TestPerSubsetLogStats:
         x = np.concatenate([np.ones(6), np.arange(6, dtype=float)])
         data = RegressionData(y=y, x0=np.ones((12, 1)), x=x)
         plan = SplitPlan(M=2, assignment=np.array([0] * 6 + [1] * 6), seed=0)
-        with pytest.raises(RankError, match="subset 0"):
+        with pytest.raises(RankError, match="a subset of the split is unusable") as err:
             per_subset_log_stats(data, plan, InfoCriterionSpec.bic())
+        assert err.value.subset == 0
 
 
 _ALL_STATS = [GPriorSpec.sample_size(), GPriorSpec.fixed(25.0), GPriorSpec.zellner_siow(),
@@ -197,14 +198,17 @@ class TestBatchedPerSubsetStats:
     def test_subset_with_too_few_rows_names_it(self):
         data = _regression(40, 1, 2, seed=8)
         plan = SplitPlan(M=3, assignment=np.array([0] * 18 + [1] * 3 + [2] * 19), seed=0)
-        with pytest.raises(RankError, match=r"subset 1 of the split is unusable: need n > p \+ p0"):
+        text = r"^a subset of the split is unusable: need n > p \+ p0"
+        with pytest.raises(RankError, match=text) as err:
             per_subset_log_stats(data, plan, GPriorSpec.sample_size())
+        assert err.value.subset == 1
 
     def test_empty_subset_names_it(self):
         data = _regression(40, 1, 2, seed=8)
         plan = SplitPlan(M=3, assignment=np.array([0] * 20 + [2] * 20), seed=0)
-        with pytest.raises(RankError, match="subset 1 of the split"):
+        with pytest.raises(RankError, match="a subset of the split") as err:
             per_subset_log_stats(data, plan, InfoCriterionSpec.bic())
+        assert err.value.subset == 1
 
     @pytest.mark.parametrize("level", [0.0, 3.0, -1.7e4])
     def test_constant_response_subset_names_it(self, level):
@@ -213,8 +217,9 @@ class TestBatchedPerSubsetStats:
         y[40:] = level
         data = RegressionData(y=y, x0=data.x0, x=data.x)
         plan = SplitPlan(M=3, assignment=np.repeat([0, 1, 2], 20), seed=0)
-        with pytest.raises(RankError, match="subset 2 .*zero sum of squares"):
+        with pytest.raises(RankError, match="a subset .*zero sum of squares") as err:
             per_subset_log_stats(data, plan, GPriorSpec.zellner_siow())
+        assert err.value.subset == 2
 
     def test_first_failing_subset_is_named_across_sizes(self):
         data = _regression(50, 1, 2, seed=10)
@@ -223,8 +228,9 @@ class TestBatchedPerSubsetStats:
         data = RegressionData(y=data.y, x0=data.x0, x=x)
         assignment = np.array([0] * 12 + [1] * 18 + [3] * 8 + [2] * 12)
         plan = SplitPlan(M=4, assignment=assignment, seed=0)
-        with pytest.raises(RankError, match=r"subset 2 .*\[x0 x\] is rank deficient"):
+        with pytest.raises(RankError, match=r"a subset .*\[x0 x\] is rank deficient") as err:
             per_subset_log_stats(data, plan, InfoCriterionSpec.bic())
+        assert err.value.subset == 2
 
 
 class TestAggregatePrivate:
