@@ -224,6 +224,7 @@ def _resolve_argv(argv) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
+        given.pop("generated_at", None)  # run_config.json replays as it is
     given.update(args)
     return _resolve(given)
 
@@ -250,8 +251,32 @@ def _stat(cfg: dict):
     return _PRIORS[cfg["prior"]]()
 
 
-def _public_config(cfg: dict) -> dict:
-    return {k: v for k, v in sorted(cfg.items()) if v is not None}
+def _private(cfg: dict) -> bool | None:
+    """None for a command that reads no data, else true unless --no-noise or --diagnostics."""
+    return None if "no_noise" not in cfg else not (cfg["no_noise"] or cfg.get("diagnostics"))
+
+
+def _write_record(path: Path, cfg: dict, fields: dict | None = None, law=None,
+                  non_private: dict | None = None) -> None:
+    """Write one JSON artifact of a run; no other code writes one.  A field's
+    privacy class is the argument it comes in: ``cfg`` (the ``config`` block;
+    alone, with the time, when ``fields`` is None), ``fields`` (the release
+    and its post-processing), a Gram ``law`` (mechanism, stream and budget)
+    and ``non_private``, written only when :func:`_private` is false."""
+    config = {k: v for k, v in sorted(cfg.items()) if v is not None}
+    if fields is None:
+        record = dict(config, generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
+    else:
+        record = dict(fields, config=config)
+        if law is not None:
+            record.update(mechanism=law.name, calibration_stream=law.calibration_stream,
+                          **{k: getattr(law.budget, k, None) for k in ("epsilon", "delta")})
+        private = _private(cfg)
+        if private is not None:
+            record.update(seed=cfg["seed"], private=private)
+            if not private:
+                record.update(non_private or {})
+    write_json_record(path, record)
 
 
 def _cmd_test(cfg: dict, out: Path) -> None:
@@ -260,16 +285,12 @@ def _cmd_test(cfg: dict, out: Path) -> None:
     budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
     bounds = _bounds(cfg)
     stat = _stat(cfg)
-    seed = cfg["seed"]
-    plan = make_split(data.n, cfg["M"], data.p + data.p0 + 1, seed)
+    plan = make_split(data.n, cfg["M"], data.p + data.p0 + 1, cfg["seed"])
     logs = per_subset_log_stats(data, plan, stat)
-    rng = child_rng(seed, 1)
-    result = aggregate_private(logs, bounds, budget, rng, with_noise=not cfg["no_noise"])
-    private = not (cfg["no_noise"] or cfg["diagnostics"])
-    record = result.to_record(pi0=cfg["pi0"], seed=seed, private=private)
-    record["private"] = private
-    record["config"] = _public_config(cfg)
-    write_json_record(out / "test_result.json", record)
+    result = aggregate_private(logs, bounds, budget, child_rng(cfg["seed"], 1),
+                               with_noise=not cfg["no_noise"])
+    _write_record(out / "test_result.json", cfg, result.to_record(cfg["pi0"]),
+                  non_private={"per_subset_logs": result.per_subset_logs})
 
 
 def _cmd_calibrate(cfg: dict, out: Path) -> None:
@@ -287,17 +308,12 @@ def _cmd_calibrate(cfg: dict, out: Path) -> None:
         null = simulate_null_pvalue(null_cfg(), rng)
     write_csv(out / "null_quantiles.csv", ["prob", "value"],
               quantile_table(null))
-    record = {
-        "statistic": statistic,
-        "alpha": cfg["alpha"],
-        "critical_value": critical_value(null, cfg["alpha"]),
-        "nsim": null.nsim,
-        "config": _public_config(cfg),
-    }
+    record = {"statistic": statistic, "alpha": cfg["alpha"],
+              "critical_value": critical_value(null, cfg["alpha"]), "nsim": null.nsim}
     if cfg["observed"] is not None:
         record["observed"] = cfg["observed"]
         record["p_value"] = p_value(null, cfg["observed"])
-    write_json_record(out / "calibration.json", record)
+    _write_record(out / "calibration.json", cfg, record)
 
 
 def _release_gram(cfg: dict):
@@ -325,26 +341,17 @@ def _cmd_select(cfg: dict, out: Path) -> None:
         chain = threshold_offdiagonal(chain, cfg["lambda_pct"])
     chain = pd_repair(chain, r=cfg["r_fixed"])
     post = enumerate_posterior(chain.g, _stat(cfg), cfg["model_prior"], n=chain.n)
-    budget = chain.law.budget
     write_csv(out / "posterior.csv", ["model", "log_marginal", "posterior"],
               posterior_csv_rows(post))
-    summary = {
+    _write_record(out / "selection.json", cfg, {
         "inclusion": post.inclusion,
         "beta_avg": post.beta_avg,
         "top_model": format(post.top_model(), f"0{post.p}b")[::-1],
         "r": chain.r,
         "e_lambda": chain.e_lambda,
         "r2_clamps": post.r2_clamps,
-        "mechanism": chain.law.name,
-        "calibration_stream": chain.law.calibration_stream,
-        "epsilon": budget.epsilon if budget else None,
-        "delta": budget.delta if budget else None,
-        "seed": cfg["seed"],
-        "n": data.n,
-        "p": data.p,
-        "config": _public_config(cfg),
-    }
-    write_json_record(out / "selection.json", summary)
+        "n": data.n, "p": data.p,
+    }, chain.law)
     if cfg["synthetic_n"]:
         d_star = synthetic_dataset(chain.g, cfg["synthetic_n"], rng)
         header = [f"v{j + 1}" for j in range(data.p)] + ["z"]
@@ -374,17 +381,9 @@ def _cmd_region(cfg: dict, out: Path) -> None:
         ["bin_edge_lo", "bin_edge_hi", "count"],
         zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(), hist.counts.tolist()),
     )
-    write_json_record(out / "region.json", {
-        "mean": hist.mean,
-        "accepted": hist.accepted,
-        "rejected_non_pd": hist.rejected_non_pd,
-        "alpha": region_cfg.alpha,
-        "functional": cfg["functional"],
-        "mechanism": chain.law.name,
-        "calibration_stream": chain.law.calibration_stream,
-        "seed": cfg["seed"],
-        "config": _public_config(cfg),
-    })
+    _write_record(out / "region.json", cfg, {
+        "mean": hist.mean, "accepted": hist.accepted, "rejected_non_pd": hist.rejected_non_pd,
+        "alpha": region_cfg.alpha, "functional": cfg["functional"]}, chain.law)
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> None:
@@ -420,10 +419,9 @@ def _cmd_simulate(cfg: dict, out: Path) -> None:
     calibration = {name: {"r": law.repair_shift} for name, law in laws.items()}
     calibration["wishart"]["e_lambda"] = laws["wishart"].offdiag_abs_quantile(
         cfg["lambda_pct"] / 100.0)
-    summary = {"cells": means, "delta_wishart": cfg["delta_wishart"],
-               "calibration": dict(calibration, stream=laws["wishart"].calibration_stream),
-               "config": _public_config(cfg)}
-    write_json_record(out / "sim_summary.json", summary)
+    _write_record(out / "sim_summary.json", cfg, {
+        "cells": means, "delta_wishart": cfg["delta_wishart"],
+        "calibration": dict(calibration, stream=laws["wishart"].calibration_stream)})
 
 
 _COMMANDS = {
@@ -437,9 +435,7 @@ _COMMANDS = {
 
 def _run(cfg: dict) -> int:
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_json_record(out / "run_config.json", dict(
-        _public_config(cfg), generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z")))
+    _write_record(out / "run_config.json", cfg)
     _COMMANDS[cfg["command"]][0](cfg, out)
     return 0
 
@@ -453,12 +449,15 @@ def run_command(cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
+    cfg = {}
     try:
-        return _run(_resolve_argv(argv))
+        cfg = _resolve_argv(argv)
+        return _run(cfg)
     except DpmsError as exc:
         code = 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
         record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-        if isinstance(exc, NumericError) and exc.diagnostics:
+        # A private run's diagnostics may hold raw-data values (one subset's R^2).
+        if isinstance(exc, NumericError) and exc.diagnostics and not _private(cfg):
             record["diagnostics"] = exc.diagnostics
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return code

@@ -194,9 +194,8 @@ class DPTestResult:
     """Private test output: the noisy average of censored log statistics.
 
     ``law`` is the noise law of the release.  ``per_subset_logs`` (the
-    censored per-subset values) is retained for the non-private
-    diagnostics mode only and must never appear in output marked private;
-    ``to_record`` enforces that.
+    censored per-subset values) is not part of the release: only a
+    non-private record may carry it.
     """
 
     log_bstar: float
@@ -213,8 +212,9 @@ class DPTestResult:
     def posterior_h0(self, pi0: float = 0.5) -> float:
         return posterior_probability(self.log_bstar, pi0)
 
-    def to_record(self, pi0: float = 0.5, seed: int | None = None, private: bool = True) -> dict:
-        rec = {
+    def to_record(self, pi0: float = 0.5) -> dict:
+        """The release, its law and budget, and the posterior it gives."""
+        return {
             "log_bstar": self.log_bstar,
             "log_bstar_censored": self.log_bstar_censored,
             "p_h0": self.posterior_h0(pi0),
@@ -225,11 +225,7 @@ class DPTestResult:
             "L": self.bounds.L,
             "U": self.bounds.U,
             "mechanism": self.law.mechanism,
-            "seed": seed,
         }
-        if not private:
-            rec["per_subset_logs"] = [float(v) for v in self.per_subset_logs]
-        return rec
 
 
 def aggregate_private(

@@ -319,6 +319,14 @@ class TestRunCommand:
         strip = lambda text: [l for l in text.splitlines() if "generated_at" not in l]
         assert strip(first_run) == strip(second_run)
 
+    def test_run_config_replays_as_config_file(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_command(_base_test_cfg(out)) == 0
+        first = (out / "test_result.json").read_bytes()
+        (out / "test_result.json").unlink()
+        assert main(["test", "--config", str(out / "run_config.json")]) == 0
+        assert (out / "test_result.json").read_bytes() == first
+
     def test_select_zero_noise_deterministic_and_private(self, tmp_path):
         cfg = {
             "command": "select",
@@ -534,6 +542,19 @@ class TestCliEntry:
         assert sorted(err["diagnostics"]) == ["n", "p", "p0", "r2"]
         assert err["diagnostics"]["n"] == 200
 
+    def test_private_run_prints_no_diagnostics(self, tmp_path, capsys, monkeypatch):
+        # The diagnostics of a subset's quadrature carry that subset's raw R^2.
+        from dpms import linmodel
+
+        monkeypatch.setattr(linmodel, "ZS_HALVINGS", 0)
+        code = main(["test", "--input", str(hsb2_path()), "--response", "math",
+                     "--x", "read", "--prior", "zs", "--M", "5", "--epsilon", "1",
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericError"
+        assert "diagnostics" not in err
+
     @pytest.mark.parametrize("command,flags", [
         ("test", ["--lambda", "--alpha", "--nsim"]),
         ("calibrate", ["--lambda"]),
@@ -677,6 +698,48 @@ _RUNS = {
     "simulate": ["simulate", "--p", "3", "--n", "400", "--snr", "1", "--n-active", "1",
                  "--n-datasets", "1", "--epsilon", "1", "--prior", "bic", "--seed", "21"],
 }
+
+
+_GRAM_LAW_KEYS = {"mechanism", "calibration_stream", "epsilon", "delta"}
+# Every top-level key of a data command's record.  A new field has to be
+# added here, and to the writer's argument of its class.
+_RECORD_KEYS = {
+    "test": {"log_bstar", "log_bstar_censored", "p_h0", "p_h1", "epsilon", "delta", "M",
+             "L", "U", "mechanism"},
+    "select": {"inclusion", "beta_avg", "top_model", "r", "e_lambda", "r2_clamps", "n", "p",
+               *_GRAM_LAW_KEYS},
+    "region": {"mean", "accepted", "rejected_non_pd", "alpha", "functional", *_GRAM_LAW_KEYS},
+}
+_NON_PRIVATE_KEYS = {"test": {"per_subset_logs"}, "select": set(), "region": set()}
+_PRIVATE_RUNS = {
+    "test": _RUNS["test"],
+    "select": _RUNS["select"],
+    "region": ["region", *_HSB2_FLAGS, "--x", "read,science", "--epsilon", "2000",
+               "--data-entry-bound", "80", "--nsamples", "120", "--prior", "bic",
+               "--seed", "12"],
+}
+
+
+class TestPrivateFlag:
+    """Every JSON artifact of a command that reads data says whether it is
+    private, and only a non-private one carries per-subset values."""
+
+    @pytest.mark.parametrize("command, mode", [
+        *((command, mode) for command in _PRIVATE_RUNS for mode in (None, "--no-noise")),
+        ("test", "--diagnostics"),
+    ])
+    def test_artifacts_carry_the_private_flag(self, tmp_path, command, mode):
+        argv = _PRIVATE_RUNS[command] + ([mode] if mode else [])
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        private = mode is None
+        records = [json.loads(path.read_text()) for path in sorted(tmp_path.glob("*.json"))
+                   if path.name != "run_config.json"]
+        assert records
+        for record in records:
+            assert record["private"] is private
+            assert ("per_subset_logs" in record) == (command == "test" and not private)
+            assert set(record) == (_RECORD_KEYS[command] | {"seed", "private", "config"}
+                                   | (set() if private else _NON_PRIVATE_KEYS[command]))
 
 
 class TestOptionTable:

@@ -1,5 +1,6 @@
 """Splitting, censoring, aggregation, and posterior probabilities."""
 
+import json
 import math
 
 import numpy as np
@@ -275,15 +276,27 @@ class TestAggregatePrivate:
             aggregate_private(np.array([]), default_bounds(), PrivacyBudget(1.0),
                               np.random.default_rng(0))
 
-    def test_private_record_hides_per_subset_values(self):
+    def test_private_record_hides_per_subset_values(self, tmp_path):
+        from dpms.cli import _write_record
+
         res = aggregate_private(np.array([0.5, -0.5]), default_bounds(),
                                 PrivacyBudget(1.0), np.random.default_rng(0))
-        record = res.to_record(pi0=0.5, seed=1, private=True)
+        release = res.to_record(pi0=0.5)
+        assert set(release) == {"log_bstar", "log_bstar_censored", "p_h0", "p_h1",
+                                "epsilon", "delta", "M", "L", "U", "mechanism"}
+        cfg = {"command": "test", "seed": 1, "no_noise": False, "diagnostics": False}
+        per_subset = {"per_subset_logs": res.per_subset_logs}
+
+        def written(**modes):
+            _write_record(tmp_path / "r.json", dict(cfg, **modes), release, non_private=per_subset)
+            return json.loads((tmp_path / "r.json").read_text())
+
+        record = written()
         assert "per_subset_logs" not in record
-        assert set(record) == {"log_bstar", "log_bstar_censored", "p_h0", "p_h1",
-                               "epsilon", "delta", "M", "L", "U", "mechanism", "seed"}
-        diag = res.to_record(pi0=0.5, seed=1, private=False)
-        assert "per_subset_logs" in diag
+        assert set(record) == set(release) | {"seed", "private", "config"}
+        assert record["private"] is True
+        assert "per_subset_logs" in written(diagnostics=True)
+        assert "per_subset_logs" in written(no_noise=True)
 
 
 # A well-conditioned dataset and a fixed split for the neighbour test.
