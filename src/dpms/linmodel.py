@@ -153,19 +153,24 @@ def r_squared(c: CenteredData) -> float:
 def _r2_stack(x0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int | None, str]:
     """R^2 of the tested block for a (k, b, .) stack of equal-size subsets,
     the position of the first unusable subset (None if none is) and the
-    first reason of ``UNUSABLE`` it meets: the checks of
-    :class:`RegressionData` and :func:`reparametrize`, a centered response
-    that is zero up to ``_RANK_RTOL`` of the response, or a perfect fit.
+    first reason of ``UNUSABLE`` it meets: a rank-deficient [x0 x], a
+    centered response that is zero up to ``_RANK_RTOL`` of the response,
+    or a perfect fit.
+
+    The check of :func:`reparametrize` on x0 alone would never decide:
+    with x0 = QR, in exact arithmetic sigma_min([x0 x]) <= sigma_min(x0)
+    <= min |R_ii| and sigma_max([x0 x]) >= sigma_max(x0) >= max |R_ii|, so
+    an x0 whose QR flags a column has its [x0 x] flagged by the SVD test.
     """
-    z, v, dependent = _project(x0, y, x)
+    z, v, _ = _project(x0, y, x)
     zz = np.einsum("kb,kb->k", z, z)
     yy = np.einsum("kb,kb->k", y, y)
     proj = np.linalg.qr(v)[0].mT @ z[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.clip(np.einsum("kpi,kpi->k", proj, proj) / zz, 0.0, 1.0)
+    reasons = (UNUSABLE[0], UNUSABLE[2], UNUSABLE[3])
     failed = np.stack([
         _rank_deficient(np.concatenate([x0, x], axis=2)),
-        dependent.any(axis=1),
         zz <= _RANK_RTOL**2 * yy,
         ~(r2 < 1.0),
     ])
@@ -173,7 +178,7 @@ def _r2_stack(x0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     if not bad.any():
         return r2, None, ""
     j = int(bad.argmax())
-    return r2, j, UNUSABLE[int(failed[:, j].argmax())]
+    return r2, j, reasons[int(failed[:, j].argmax())]
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@ Laplace or analytic-Gaussian law of a subsample-and-aggregate mean, and
 :func:`gram_law` the Laplace or Wishart error law of the Gram release
 (:class:`ZeroGramLaw` is the zero-noise oracle).  A Gram law samples its
 error (one draw, or a stack), gives the quantiles of an off-diagonal
-entry's absolute value (for hard thresholds), the auto PD repair's
-shift, and the central acceptance set whose ``draws`` confidence regions
-sample; these calibrations read the law alone and are drawn once per law
-(:class:`_CalibratedLaw`).  The Wishart ball tests spectral norms against
-its radius, which is itself a quantile of spectral norms, and the repair
-shift is a quantile of smallest eigenvalues; all three screen the draws
-with bounds built from matrix products and traces
+entry's absolute value (for hard thresholds) and the auto PD repair's
+shift, and owns the central (1-alpha) set of its errors that confidence
+regions use: ``central_draws`` samples the law restricted to the set and
+``in_central_set`` tests membership.  The set is a box of per-coordinate
+quantiles for Laplace, a spectral-norm ball for Wishart and the origin
+for the zero law.  The calibrations read the law alone and are drawn
+once per law (:class:`_CalibratedLaw`).  The Wishart ball tests spectral
+norms against its radius, which is itself a quantile of spectral norms,
+and the repair shift is a quantile of smallest eigenvalues; all three
+screen the draws with bounds built from matrix products and traces
 (:func:`_spectral_norm_bounds`, widened by a stated rounding margin) and
 call eigvalsh only on the draws the bounds cannot place, so each result
 equals that of an eigvalsh on every draw.  A Laplace or zero stack equals
@@ -60,6 +63,8 @@ REPAIR_DRAWS = 1000
 CALIBRATION = 0
 # Largest stack of Gram error draws formed at once.
 DRAW_CHUNK = 2_000
+# Wishart draws without an acceptance after which central_draws gives up.
+STALL = 10_000
 # Squarings behind the spectral-norm bounds, and their relative margin per
 # m^3.  On the ball radius at alpha = 0.05, six timed as fast as five and
 # seven at p = 5 and 10-14% faster than either at p = 12; at alpha = 0.5,
@@ -361,8 +366,26 @@ class LaplaceGramLaw(_CalibratedLaw):
         # |Laplace(b)| has CDF 1 - exp(-t/b).
         return -self.scale * math.log1p(-q)
 
-    def central_set(self, alpha: float) -> "_LaplaceBox":
-        return _LaplaceBox(self, alpha)
+    def _half_width(self, alpha: float) -> float:
+        """The central box's half-width: each of the c = (p+1)(p+2)/2 free
+        coordinates gets its two-sided quantile at level (1-alpha)^(1/c),
+        so the box has probability exactly 1 - alpha."""
+        m = self.p + 1
+        return self.offdiag_abs_quantile((1.0 - alpha) ** (1.0 / (m * (m + 1) // 2)))
+
+    def central_draws(self, alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n errors restricted to the central box, as an (n, p+1, p+1)
+        stack equal to n single draws in turn."""
+        # Inverse-CDF sampling of Laplace truncated to [-w, w]: the CDF at
+        # w is 1 - exp(-w/b)/2, symmetric about 1/2.
+        m, b = self.p + 1, self.scale
+        hi = 1.0 - 0.5 * math.exp(-self._half_width(alpha) / b)
+        u = rng.uniform(1.0 - hi, hi, size=(n, m * (m + 1) // 2))
+        return _symmetric(m, np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u))))
+
+    def in_central_set(self, alpha: float, e: np.ndarray) -> bool:
+        iu = np.triu_indices(self.p + 1)
+        return bool(np.all(np.abs(e[iu]) <= self._half_width(alpha)))
 
 
 @dataclass(frozen=True)
@@ -435,8 +458,38 @@ class WishartGramLaw(_CalibratedLaw):
             return _screened_quantile(lo, hi, 1.0 - alpha, exact)
         return self._calibrated(2, alpha, radius)
 
-    def central_set(self, alpha: float) -> "_WishartBall":
-        return _WishartBall(self, alpha)
+    def central_draws(self, alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n errors restricted to the spectral-norm ball of radius
+        :meth:`ball_radius`, as an (n, p+1, p+1) stack.
+
+        The radius is the (1-alpha) quantile of the norm, so the ball has
+        probability 1 - alpha.  Rejection keeps the accepted draws of whole
+        DRAW_CHUNK stacks and returns the first n, so the draws depend on n
+        and on DRAW_CHUNK as well as on the stream.  A draw whose
+        :func:`_spectral_norm_bounds` upper bound is within the radius is
+        accepted and one whose lower bound is beyond it rejected; only the
+        rest get an eigvalsh, so the accepted draws are exactly those whose
+        eigvalsh norm is within the radius.
+        """
+        radius = self.ball_radius(alpha)
+        kept: list[np.ndarray] = []
+        found = stalled = 0
+        while found < n:
+            e = self.sample(rng, DRAW_CHUNK)
+            lo, hi = _spectral_norm_bounds(e)
+            inside = hi <= radius
+            open_ = ~inside & (lo <= radius)
+            inside[open_] = _spectral_norms(e[open_]) <= radius
+            e = e[inside]
+            stalled = 0 if len(e) else stalled + DRAW_CHUNK
+            if stalled >= STALL:
+                raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
+            kept.append(e)
+            found += len(e)
+        return np.concatenate(kept)[:n]
+
+    def in_central_set(self, alpha: float, e: np.ndarray) -> bool:
+        return bool(_spectral_norms(e) <= self.ball_radius(alpha))
 
 
 @dataclass(frozen=True)
@@ -456,8 +509,12 @@ class ZeroGramLaw:
     def offdiag_abs_quantile(self, q: float) -> float:
         return 0.0
 
-    def central_set(self, alpha: float) -> "_Origin":
-        return _Origin(self.p + 1)
+    def central_draws(self, alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        m = self.p + 1
+        return np.zeros((1, m, m))  # a single point needs a single candidate
+
+    def in_central_set(self, alpha: float, e: np.ndarray) -> bool:
+        return bool(np.allclose(e, 0.0))
 
 
 def gram_law(p: int, budget: PrivacyBudget, sens: Sensitivity,
@@ -501,79 +558,6 @@ def wishart_gram_error(
     """One centered Wishart error draw for the Gram release (see
     :class:`WishartGramLaw`)."""
     return WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget, seed=0).sample(rng)
-
-
-class _LaplaceBox:
-    """Componentwise central box for the independent Laplace error.
-
-    Each of the m = (p+1)(p+2)/2 free coordinates gets a two-sided
-    quantile interval at level (1-alpha)^(1/m), so the product set has
-    probability exactly 1 - alpha.
-    """
-
-    def __init__(self, law: LaplaceGramLaw, alpha: float):
-        self.dim = law.p + 1
-        q = (1.0 - alpha) ** (1.0 / (self.dim * (self.dim + 1) // 2))
-        self.scale = law.scale
-        self.half_width = -law.scale * math.log1p(-q)
-
-    def contains(self, e: np.ndarray) -> bool:
-        iu = np.triu_indices(self.dim)
-        return bool(np.all(np.abs(e[iu]) <= self.half_width))
-
-    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n error draws restricted to the box, as an (n, m, m) stack."""
-        # Inverse-CDF sampling of Laplace truncated to [-w, w]: the CDF at
-        # w is 1 - exp(-w/b)/2, symmetric about 1/2.
-        hi = 1.0 - 0.5 * math.exp(-self.half_width / self.scale)
-        u = rng.uniform(1.0 - hi, hi, size=(n, self.dim * (self.dim + 1) // 2))
-        draws = np.where(u < 0.5, self.scale * np.log(2.0 * u),
-                         -self.scale * np.log(2.0 * (1.0 - u)))
-        return _symmetric(self.dim, draws)
-
-
-class _WishartBall:
-    """Spectral-norm acceptance set for the dependent Wishart error.
-
-    The radius is the law's :meth:`WishartGramLaw.ball_radius`, the
-    empirical (1-alpha) quantile of the spectral norm over its own
-    calibration draws, so rejecting the largest alpha fraction gives an
-    acceptance set of probability 1 - alpha.  Sampling
-    rejects whole DRAW_CHUNK stacks and keeps the first n accepted draws,
-    so the draws depend on n and on DRAW_CHUNK as well as on the stream.
-    A draw whose :func:`_spectral_norm_bounds` upper bound is within the
-    radius is accepted and one whose lower bound is beyond it rejected;
-    only the rest get an eigvalsh, so the accepted draws are exactly those
-    whose eigvalsh norm is within the radius.
-    """
-
-    # Draws without an acceptance after which rejection sampling gives up.
-    STALL = 10_000
-
-    def __init__(self, law: WishartGramLaw, alpha: float):
-        self.law = law
-        self.radius = law.ball_radius(alpha)
-
-    def contains(self, e: np.ndarray) -> bool:
-        return bool(_spectral_norms(e) <= self.radius)
-
-    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n error draws restricted to the ball, as an (n, m, m) stack."""
-        kept: list[np.ndarray] = []
-        found = stalled = 0
-        while found < n:
-            e = self.law.sample(rng, DRAW_CHUNK)
-            lo, hi = _spectral_norm_bounds(e)
-            inside = hi <= self.radius
-            open_ = ~inside & (lo <= self.radius)
-            inside[open_] = _spectral_norms(e[open_]) <= self.radius
-            e = e[inside]
-            stalled = 0 if len(e) else stalled + DRAW_CHUNK
-            if stalled >= self.STALL:
-                raise EmptyRegionError("rejection sampling of the Wishart error set stalled")
-            kept.append(e)
-            found += len(e)
-        return np.concatenate(kept)[:n]
 
 
 def _spectral_norms(e: np.ndarray) -> np.ndarray:
@@ -675,16 +659,3 @@ def _shift_bounds(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = _spectral_norm_bounds(f)
     slack = SCREEN_MARGIN * m**3 * (np.abs(c) + hi)
     return np.maximum(lo - c - slack, 0.0), np.maximum(hi - c + slack, 0.0)
-
-
-class _Origin:
-    """The zero law's acceptance set: the zero matrix alone."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def contains(self, e: np.ndarray) -> bool:
-        return bool(np.allclose(e, 0.0))
-
-    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.zeros((1, self.dim, self.dim))  # a single point needs a single candidate

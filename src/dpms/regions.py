@@ -2,14 +2,14 @@
 
 A :class:`dpms.gram.GramChain` keeps the release G* = G + E with its
 fully known error law, so a (1-alpha) region for G is obtained by
-sampling the law's central (1-alpha) set of errors (see
-:mod:`dpms.mechanisms`; the law calibrates the set once, from its own
-stream), subtracting the draws from G* and intersecting with the
-positive-definite cone.  The chain's post-processed matrix
-(thresholded, repaired) plays no part.  Pushing every surviving
-candidate through the model-enumeration map yields a histogram over any
-scalar summary (inclusion probability, posterior mean coefficient); its
-exact mean is the histogram-mean estimator.
+sampling the law restricted to its central (1-alpha) set of errors
+(``law.central_draws``; see :mod:`dpms.mechanisms`, whose laws
+calibrate the set once, from their own streams), subtracting the draws
+from G* and intersecting with the positive-definite cone.  The chain's
+post-processed matrix (thresholded, repaired) plays no part.  Pushing
+every surviving candidate through the model-enumeration map yields a
+histogram over any scalar summary (inclusion probability, posterior
+mean coefficient); its exact mean is the histogram-mean estimator.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ def sample_region(
     cone are dropped and counted.  Without noise the set is one point, so
     the release itself is the only candidate.
     """
-    acc = chain.law.central_set(cfg.alpha)
-    g = chain.g_star - acc.draws(cfg.nsamples, rng)
+    g = chain.g_star - chain.law.central_draws(cfg.alpha, cfg.nsamples, rng)
     pd = np.linalg.eigvalsh(g)[:, 0] > 0.0
     if not pd.any():
         raise EmptyRegionError(
@@ -102,15 +101,15 @@ def sample_region(
 def region_contains(chain: GramChain, g_true: np.ndarray, cfg: RegionConfig) -> bool:
     """Whether a matrix lies in the (1-alpha) region of the release.
 
-    G is in the region iff the implied error G* - G falls in the central
-    acceptance set (and G is positive definite, which holds for any true
+    G is in the region iff the implied error G* - G falls in the law's
+    central set (and G is positive definite, which holds for any true
     Gram matrix of a full-rank design).  A matrix that is not positive
-    definite is refused before the set, and any calibration it needs, is
-    built.
+    definite is refused before the law runs any calibration the set
+    needs.
     """
     if np.linalg.eigvalsh(np.asarray(g_true))[0] <= 0.0:
         return False
-    return chain.law.central_set(cfg.alpha).contains(chain.g_star - g_true)
+    return chain.law.in_central_set(cfg.alpha, chain.g_star - g_true)
 
 
 @dataclass(frozen=True)

@@ -306,20 +306,22 @@ def test_c10_beta_tail_bounds_grid():
     n_draws = 10_000_000
     violations = 0
     checked = 0
+    ks = (0.1, 0.3, 0.5)
+    p0 = 1
     for p in (1, 2, 5):
         for b in (30, 100, 1000):
-            for k in (0.1, 0.3, 0.5):
-                p0 = 1
-                if b <= p0 + p + 2:
-                    continue
+            if b <= p0 + p + 2:
+                continue
+            # One set of draws per Beta law; every k counts its tail on it.
+            tails = np.zeros(len(ks), dtype=np.int64)
+            remaining = n_draws
+            while remaining > 0:
+                chunk = min(remaining, 2_000_000)
+                draws = rng.beta(p / 2.0, (b - p - p0) / 2.0, size=chunk)
+                tails += [np.count_nonzero(draws > k) for k in ks]
+                remaining -= chunk
+            for k, tail in zip(ks, tails):
                 bound = beta_tail_bound(k, b=b, p=p, p0=p0)
-                tail = 0
-                remaining = n_draws
-                while remaining > 0:
-                    chunk = min(remaining, 2_000_000)
-                    draws = rng.beta(p / 2.0, (b - p - p0) / 2.0, size=chunk)
-                    tail += int(np.count_nonzero(draws > k))
-                    remaining -= chunk
                 phat = tail / n_draws
                 se = math.sqrt(max(phat * (1 - phat), 1e-300) / n_draws)
                 checked += 1

@@ -127,6 +127,8 @@ def _subset_1_unusable(reason):
     sizes = [20, 20, 20]
     if reason == 0:
         x[20:40, 1] = 2.0 * x[20:40, 0]
+    elif reason == 1:
+        x0[20:40, 1] = 3.0  # a second intercept column in subset 1 only
     elif reason == 2:
         y[20:40] = 3.0
     elif reason == 3:
@@ -154,8 +156,8 @@ _SUBSET = "a subset of the split is unusable: "
 
 # Each route that can meet a reason of UNUSABLE, or too few rows: the call,
 # its error type and its exact text.  A subset never reports reason 1: an
-# x0 that the QR flags has its [x0 x] flagged first, since the smallest
-# singular value of x0 bounds that of [x0 x] from above.
+# x0 that the QR flags has its [x0 x] flagged, since the smallest singular
+# value of x0 bounds that of [x0 x] from above, so it reports reason 0.
 _UNUSABLE_ROUTES = {
     "RegressionData-design": (
         lambda: RegressionData(y=np.zeros(20), x0=_COLLINEAR, x=2.0 * _COLLINEAR),
@@ -172,8 +174,8 @@ _UNUSABLE_ROUTES = {
                       DataError, TOO_FEW_ROWS.format(4, 3, 1)),
     **{f"per_subset_log_stats-{reason}": (lambda reason=reason: _subset_1_unusable(reason),
                                           RankError, _SUBSET + text)
-       for reason, text in ((0, UNUSABLE[0]), (2, UNUSABLE[2]), (3, UNUSABLE[3]),
-                            ("rows", TOO_FEW_ROWS.format(4, 2, 2)))},
+       for reason, text in ((0, UNUSABLE[0]), (1, UNUSABLE[0]), (2, UNUSABLE[2]),
+                            (3, UNUSABLE[3]), ("rows", TOO_FEW_ROWS.format(4, 2, 2)))},
 }
 
 

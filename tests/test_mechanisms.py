@@ -28,13 +28,11 @@ from dpms.mechanisms import (
 )
 from dpms.mechanisms import (
     _gaussian_delta,
-    _LaplaceBox,
     _log_ndtr,
     _screened_quantile,
     _shift_bounds,
     _spectral_norm_bounds,
     _spectral_norms,
-    _WishartBall,
 )
 from dpms.split_aggregate import CensorBounds, aggregate_private
 
@@ -289,12 +287,12 @@ GRAM_LAWS = {
 
 class TestNoiseLaws:
     @pytest.mark.parametrize("name", GRAM_LAWS)
-    def test_central_set_draws_are_members(self, name):
+    def test_central_draws_are_members(self, name):
         rng = np.random.default_rng(30)
-        acc = GRAM_LAWS[name].central_set(0.1)
-        draws = list(acc.draws(200, rng))
+        law = GRAM_LAWS[name]
+        draws = list(law.central_draws(0.1, 200, rng))
         assert len(draws) == (1 if name == "zero" else 200)
-        assert all(acc.contains(e) for e in draws)
+        assert all(law.in_central_set(0.1, e) for e in draws)
 
     @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
     @pytest.mark.parametrize("name", GRAM_LAWS)
@@ -344,22 +342,22 @@ class TestStackedGramDraws:
         assert tail.random() == rng.random()
 
     def test_laplace_box_stack_equals_single_draws(self):
-        box = _LaplaceBox(GRAM_LAWS["laplace"], 0.1)
-        stacked = box.draws(40, np.random.default_rng(34))
+        law = GRAM_LAWS["laplace"]
+        stacked = law.central_draws(0.1, 40, np.random.default_rng(34))
         rng = np.random.default_rng(34)
-        assert np.array_equal(stacked, np.stack([box.draws(1, rng)[0] for _ in range(40)]))
+        assert np.array_equal(stacked,
+                              np.stack([law.central_draws(0.1, 1, rng)[0] for _ in range(40)]))
 
     def test_wishart_ball_draws_n_members(self):
-        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3)
-        draws = ball.draws(60, np.random.default_rng(36))
+        law = GRAM_LAWS["wishart"]
+        draws = law.central_draws(0.3, 60, np.random.default_rng(36))
         assert draws.shape == (60, 3, 3)
-        assert all(ball.contains(e) for e in draws)
+        assert all(law.in_central_set(0.3, e) for e in draws)
 
-    def test_wishart_ball_below_every_norm_stalls(self):
-        ball = _WishartBall(GRAM_LAWS["wishart"], 0.3)
-        ball.radius = -1.0
+    def test_wishart_ball_below_every_norm_stalls(self, monkeypatch):
+        monkeypatch.setattr(WishartGramLaw, "ball_radius", lambda law, alpha: -1.0)
         with pytest.raises(EmptyRegionError):
-            ball.draws(5, np.random.default_rng(36))
+            GRAM_LAWS["wishart"].central_draws(0.3, 5, np.random.default_rng(36))
 
     def test_wishart_single_draw_is_the_bartlett_product(self):
         law = GRAM_LAWS["wishart"]
@@ -392,12 +390,12 @@ def _eigvalsh_shift(law):
     return float(np.quantile(np.maximum(-mins, 0.0), 0.99))
 
 
-def _eigvalsh_ball_draws(ball, n, rng):
+def _eigvalsh_ball_draws(law, alpha, n, rng):
     """The ball's rejection sampling with an eigvalsh on every draw."""
     kept, found = [], 0
     while found < n:
-        e = ball.law.sample(rng, mechanisms.DRAW_CHUNK)
-        e = e[_eigvalsh_norms(e) <= ball.radius]
+        e = law.sample(rng, mechanisms.DRAW_CHUNK)
+        e = e[_eigvalsh_norms(e) <= law.ball_radius(alpha)]
         kept.append(e)
         found += len(e)
     return np.concatenate(kept)[:n]
@@ -507,9 +505,9 @@ class TestSpectralNormScreen:
         law = WishartGramLaw(p, wishart_dof(p, budget), 0.5 * math.sqrt(p + 1), budget, seed=p)
         for alpha in (0.01, 0.05, 0.5, 0.95):
             assert law.ball_radius(alpha) == _eigvalsh_radius(law, alpha)
-            ball = law.central_set(alpha)
             a, b = np.random.default_rng(40), np.random.default_rng(40)
-            assert np.array_equal(ball.draws(300, a), _eigvalsh_ball_draws(ball, 300, b))
+            assert np.array_equal(law.central_draws(alpha, 300, a),
+                                  _eigvalsh_ball_draws(law, alpha, 300, b))
             assert a.random() == b.random()
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])

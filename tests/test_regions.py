@@ -90,13 +90,12 @@ class TestSampleRegion:
         chain = privatize_gram(gram, gram_law(2, PrivacyBudget(1.0, 0.3), Sensitivity(l2=0.9), 10),
                                np.random.default_rng(9))
         cfg = RegionConfig(alpha=0.2, nsamples=100)
-        from dpms.mechanisms import _WishartBall
-
-        ball = _WishartBall(chain.law, cfg.alpha)
-        inside = sum(ball.contains(ball.draws(1, np.random.default_rng(100 + i))[0])
-                     for i in range(20))
+        law = chain.law
+        draws = [law.central_draws(cfg.alpha, 1, np.random.default_rng(100 + i))[0]
+                 for i in range(20)]
+        inside = sum(law.in_central_set(cfg.alpha, e) for e in draws)
         assert inside == 20
-        assert ball.radius > 0
+        assert law.ball_radius(cfg.alpha) > 0
 
     def test_non_pd_matrix_is_refused_before_the_ball_is_calibrated(self):
         gram = toy_gram(p=2, seed=9)

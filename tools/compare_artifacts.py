@@ -21,11 +21,12 @@ non-numeric field that differs and any field or file present on one side
 only.  For a CSV it also names the data rows that moved and, over those
 rows, the distinct values of each non-numeric column (``method: WM,
 WMT``).  ``generated_at`` is ignored.  The last line counts the
-identical artifacts, the moved ones, those on one side only and the
-commands whose exit codes differ; a nonzero exit code that both sides
-share is printed too.  It reports; it applies no tolerance.  The exit
-status is 1 when a command's exit code differs between the sides, 0
-otherwise.
+identical artifacts, the moved ones (a value differs), those whose keys
+alone differ (a field on one side only, every shared value equal), the
+artifacts on one side only and the commands whose exit codes differ; a
+nonzero exit code that both sides share is printed too.  It reports; it
+applies no tolerance.  The exit status is 1 when a command's exit code
+differs between the sides, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -248,7 +249,9 @@ def _moved_rows(path: Path, moved: list[str]) -> str:
     return "; ".join(parts)
 
 
-def compare_file(a: Path, b: Path) -> str:
+def compare_file(a: Path, b: Path) -> tuple[str, str]:
+    """(verdict, tally): the printed verdict, and ``identical``,
+    ``moved`` or ``keys differ``."""
     la, lb = _leaves(a), _leaves(b)
     max_abs = max_rel = 0.0
     differ, numeric_differ = [], []
@@ -277,7 +280,9 @@ def compare_file(a: Path, b: Path) -> str:
         if only:
             parts.append(f"only in {label}: " + ", ".join(sorted(only)[:8])
                          + (" ..." if len(only) > 8 else ""))
-    return "; ".join(parts) if parts else "identical"
+    if not parts:
+        return "identical", "identical"
+    return "; ".join(parts), "moved" if numeric_differ or differ else "keys differ"
 
 
 def main(argv=None) -> int:
@@ -290,7 +295,8 @@ def main(argv=None) -> int:
     for src in srcs.values():
         if not (src / "dpms" / "cli.py").exists():
             parser.error(f"{src} holds no dpms package")
-    tally = dict.fromkeys(("identical", "moved", "one side only", "exit-code mismatches"), 0)
+    tally = dict.fromkeys(("identical", "moved", "keys differ", "one side only",
+                           "exit-code mismatches"), 0)
     with tempfile.TemporaryDirectory(prefix="dpms-compare-") as tmp:
         work = Path(tmp)
         inputs = write_inputs(work, srcs["parent"])
@@ -317,8 +323,8 @@ def main(argv=None) -> int:
                     print(f"{name}/{fname}: only in {'parent' if a.exists() else 'change'}")
                     tally["one side only"] += 1
                     continue
-                verdict = compare_file(a, b)
-                tally["identical" if verdict == "identical" else "moved"] += 1
+                verdict, kind = compare_file(a, b)
+                tally[kind] += 1
                 print(f"{name}/{fname}: {verdict}", flush=True)
     print("summary: " + ", ".join(f"{count} {label}" for label, count in tally.items()))
     return int(tally["exit-code mismatches"] > 0)
