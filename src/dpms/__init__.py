@@ -64,7 +64,6 @@ from .mechanisms import (
     ZeroGramLaw,
     analytic_gaussian_sigma,
     child_rng,
-    draw_chunks,
     gram_law,
     laplace_gram_error,
     subsample_noise_scale,

@@ -233,7 +233,10 @@ def critical_value(null: EmpiricalNull, alpha: float) -> float:
 
 
 def p_value(null: EmpiricalNull, observed: float) -> float:
-    """Add-one Monte-Carlo p-value: (1 + #{samples >= observed}) / (nsim + 1)."""
+    """Add-one Monte-Carlo p-value: (1 + #{samples >= observed}) / (nsim + 1).
+    A NaN observed value is a ``ConfigError``."""
+    if math.isnan(observed):
+        raise ConfigError("the observed statistic must be a number, got nan")
     n_ge = null.nsim - int(np.searchsorted(null.sorted_samples, observed, side="left"))
     return (1.0 + n_ge) / (null.nsim + 1.0)
 

@@ -17,6 +17,7 @@ import argparse
 import inspect
 import json
 import logging
+import math
 import sys
 import time
 from functools import partial
@@ -40,7 +41,7 @@ from .gram import build_gram, pd_repair, privatize_gram, threshold_offdiagonal
 from .harness import mse_study_cell
 from .io import ingest_csv, posterior_csv_rows, write_csv, write_json_record
 from .linmodel import GPriorSpec, InfoCriterionSpec, reparametrize
-from .mechanisms import PrivacyBudget, Sensitivity, child_rng, gram_law
+from .mechanisms import RELEASE, PrivacyBudget, Sensitivity, child_rng, gram_law
 from .regions import Functional, RegionConfig, map_functional, sample_region
 from .split_aggregate import (
     CensorBounds,
@@ -162,7 +163,8 @@ def _build_parser(named) -> argparse.ArgumentParser:
 
 
 def _resolved(option: Option, value, label: str):
-    """``value`` checked against the option's type and choices, or its default."""
+    """``value`` checked against the option's type (a float must be finite)
+    and choices, or its default."""
     if value is None:
         if option.default == REQUIRED:
             raise ConfigError(f"{label} requires {option.flag}")
@@ -175,6 +177,8 @@ def _resolved(option: Option, value, label: str):
             value = kind(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{option.flag} takes a {kind.__name__}, got {value!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{option.flag} takes a finite number, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"{option.flag} must be one of {', '.join(choices)}, got {value!r}")
     return value
@@ -287,7 +291,7 @@ def _cmd_test(cfg: dict, out: Path) -> None:
     stat = _stat(cfg)
     plan = make_split(data.n, cfg["M"], data.p + data.p0 + 1, cfg["seed"])
     logs = per_subset_log_stats(data, plan, stat)
-    result = aggregate_private(logs, bounds, budget, child_rng(cfg["seed"], 1),
+    result = aggregate_private(logs, bounds, budget, child_rng(cfg["seed"], RELEASE),
                                with_noise=not cfg["no_noise"])
     _write_record(out / "test_result.json", cfg, result.to_record(cfg["pi0"]),
                   non_private={"per_subset_logs": result.per_subset_logs})
@@ -325,7 +329,7 @@ def _release_gram(cfg: dict):
     data = ingest_csv(cfg["input"], cfg["response"], (), _columns(cfg["x"]),
                       warn_unit_box=True)
     chain = build_gram(reparametrize(data))
-    rng = child_rng(cfg["seed"], 1)
+    rng = child_rng(cfg["seed"], RELEASE)
     if not cfg["no_noise"]:
         budget = PrivacyBudget(cfg["epsilon"], cfg["delta"])
         sens = Sensitivity(l1=cfg["data_entry_bound"], l2=cfg["row_norm_bound"])

@@ -105,7 +105,7 @@ def privatize_gram(
         raise ConfigError(f"the chain already carries {chain.law.name} noise")
     if law.p != chain.p:
         raise ConfigError(f"a law for p = {law.p} cannot noise a chain with p = {chain.p}")
-    g_star = chain.g_star + law.sample(rng)
+    g_star = chain.g_star + law.sample(rng, 1)[0]
     return GramChain(g_star=g_star, g=g_star, n=chain.n, law=law)
 
 
@@ -131,7 +131,7 @@ def _min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def _draw_error(chain: GramChain, rng: np.random.Generator, size: int | None = None):
+def _draw_error(chain: GramChain, rng: np.random.Generator, size: int = 1):
     # Kept because perfbench/tracing.py wraps it; no package code calls it.
     return chain.law.sample(rng, size)
 
@@ -143,11 +143,13 @@ def pd_repair(chain: GramChain, *, r: float | None = None) -> GramChain:
     With ``r=None`` (auto policy), r is the law's ``repair_shift``, drawn
     once per law and shared by all its chains; if the result is still not
     positive definite, r escalates to 3 |lambda_min| of this chain's
-    unrepaired matrix.  A fixed r is used as given.
+    unrepaired matrix.  A fixed r is used as given; it must be finite.
     """
     base = chain.g
     auto = r is None
     r = chain.law.repair_shift if auto else float(r)
+    if not math.isfinite(r):
+        raise ConfigError(f"the repair shift r must be finite, got {r}")
     candidate = base + r * np.eye(base.shape[0])
     w_min = _min_eig(candidate)
     if auto and w_min <= 0.0:

@@ -197,8 +197,8 @@ class GPriorSpec:
         if self.kind not in ("fixed-g", "sample-size", "zellner-siow"):
             raise ConfigError(f"unknown g-prior kind {self.kind!r}")
         if self.kind == "fixed-g":
-            if self.g is None or self.g < 0:
-                raise ConfigError("fixed-g prior requires g >= 0")
+            if self.g is None or not 0 <= self.g < math.inf:
+                raise ConfigError(f"fixed-g prior requires a finite g >= 0, got {self.g}")
         elif self.g is not None:
             raise ConfigError(f"{self.kind} prior takes no g value")
 
@@ -227,8 +227,8 @@ class InfoCriterionSpec:
         if self.kind not in ("bic", "aic", "lrt", "custom"):
             raise ConfigError(f"unknown information criterion {self.kind!r}")
         if self.kind == "custom":
-            if self.rho is None or self.rho < 0:
-                raise ConfigError("custom criterion requires rho >= 0")
+            if self.rho is None or not 0 <= self.rho < math.inf:
+                raise ConfigError(f"custom criterion requires a finite rho >= 0, got {self.rho}")
         elif self.rho is not None:
             raise ConfigError(f"{self.kind} criterion takes no rho value")
 

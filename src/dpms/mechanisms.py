@@ -5,25 +5,24 @@ its law once, from the budget: :func:`subsample_noise_scale` gives the
 Laplace or analytic-Gaussian law of a subsample-and-aggregate mean, and
 :func:`gram_law` the Laplace or Wishart error law of the Gram release
 (:class:`ZeroGramLaw` is the zero-noise oracle).  A Gram law samples its
-error (one draw, or a stack), gives the quantiles of an off-diagonal
-entry's absolute value (for hard thresholds) and the auto PD repair's
-shift, and owns the central (1-alpha) set of its errors that confidence
-regions use: ``central_draws`` samples the law restricted to the set and
-``in_central_set`` tests membership.  The set is a box of per-coordinate
-quantiles for Laplace, a spectral-norm ball for Wishart and the origin
-for the zero law.  The calibrations read the law alone and are drawn
-once per law (:class:`_CalibratedLaw`).  The Wishart ball tests spectral
-norms against its radius, which is itself a quantile of spectral norms,
-and the repair shift is a quantile of smallest eigenvalues; all three
-screen the draws with bounds built from matrix products and traces
+error as a stack (a single draw is a stack of one), gives the quantiles
+of an off-diagonal entry's absolute value (for hard thresholds) and the
+auto PD repair's shift, and owns the central (1-alpha) set of its errors
+that confidence regions use: ``central_draws`` samples the law restricted
+to the set and ``in_central_set`` tests membership.  The set is a box of
+per-coordinate quantiles for Laplace, a spectral-norm ball for Wishart
+and the origin for the zero law.  The calibrations read the law alone and
+are drawn once per law (:class:`_CalibratedLaw`).  The Wishart ball tests
+spectral norms against its radius, which is itself a quantile of spectral
+norms, and the repair shift is a quantile of smallest eigenvalues; all
+three screen the draws with bounds built from matrix products and traces
 (:func:`_spectral_norm_bounds`, widened by a stated rounding margin) and
 call eigvalsh only on the draws the bounds cannot place, so each result
 equals that of an eigvalsh on every draw.  A Laplace or zero stack equals
 that many single draws in turn.  A Wishart stack takes its variates in
 bulk, so Wishart draws depend on the stack size and on DRAW_CHUNK as well
-as on the stream; a single draw is a stack of one.  Everything is pure
-given a ``numpy.random.Generator``; callers own their streams (see
-:func:`child_rng`).
+as on the stream.  Everything is pure given a ``numpy.random.Generator``;
+callers own their streams (see :func:`child_rng`).
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ __all__ = [
     "WishartGramLaw",
     "ZeroGramLaw",
     "CALIBRATION",
+    "RELEASE",
     "child_rng",
     "analytic_gaussian_sigma",
     "subsample_noise_scale",
     "gram_law",
-    "draw_chunks",
     "laplace_gram_scale",
     "laplace_gram_error",
     "wishart_dof",
@@ -59,8 +58,11 @@ __all__ = [
 QUANTILE_DRAWS = 100_000
 # Mechanism draws behind the auto repair's 99th-percentile shift.
 REPAIR_DRAWS = 1000
-# Calibration j of a law with seed s draws from child_rng(s, CALIBRATION, j).
+# Calibration j of a law with seed s draws from child_rng(s, CALIBRATION, j),
+# and a command's release from child_rng(s, RELEASE).  The one-level release
+# key never equals a two-level calibration key, so the two cannot share draws.
 CALIBRATION = 0
+RELEASE = 1
 # Largest stack of Gram error draws formed at once.
 DRAW_CHUNK = 2_000
 # Wishart draws without an acceptance after which central_draws gives up.
@@ -295,26 +297,15 @@ def _symmetric(dim: int, upper: np.ndarray) -> np.ndarray:
     return e
 
 
-def _one_or_stack(draw, size: int | None) -> np.ndarray:
-    """``draw(n)`` gives an (n, m, m) stack; one matrix when size is None."""
-    return draw(1)[0] if size is None else draw(size)
-
-
-def draw_chunks(law, n: int, rng: np.random.Generator):
-    """``n`` draws of ``law`` as consecutive stacks of at most DRAW_CHUNK,
-    so no stack outgrows a few MB.  For the Wishart law the draws depend
-    on DRAW_CHUNK as well as on the stream (see :func:`_wishart_bartlett`)."""
-    for start in range(0, n, DRAW_CHUNK):
-        yield law.sample(rng, min(DRAW_CHUNK, n - start))
-
-
 @dataclass(frozen=True, kw_only=True)
 class _CalibratedLaw:
     """A noisy Gram law's Monte-Carlo calibrations, each computed at most
     once per law object.  Calibration j (0 the repair shift, 1 the
     off-diagonal quantile, 2 the ball radius) draws from the two-level key
     child_rng(seed, CALIBRATION, j), which no release stream has, so the
-    values depend neither on the release nor on which comes first."""
+    values depend neither on the release nor on which comes first.  The
+    repair shift and the ball radius are eigvalsh quantiles, each one
+    screened pass (:meth:`_screened`)."""
 
     seed: int
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -325,18 +316,42 @@ class _CalibratedLaw:
             self._memo[j, key] = compute(child_rng(self.seed, CALIBRATION, j))
         return self._memo[j, key]
 
+    def _screened(self, j: int, key, n: int, q: float, bounds, value) -> float:
+        """Calibration (j, key): the q quantile of ``value`` over n draws,
+        bitwise that of ``value`` on every draw.  One pass draws DRAW_CHUNK
+        stacks and keeps each draw's ``bounds`` and the stream's state before
+        each stack; :func:`_screened_quantile` picks the rows it needs, whose
+        stacks are drawn again from their saved states, except the last,
+        still in memory.  The stream is the law's own, so the replay moves
+        no other stream."""
+        def quantile(rng):
+            states, bracket = [], []
+            for start in range(0, n, DRAW_CHUNK):
+                states.append(rng.bit_generator.state)
+                e = self.sample(rng, min(DRAW_CHUNK, n - start))
+                bracket.append(bounds(e))
+
+            def exact(rows):
+                x, stack = np.empty(rows.size), rows // DRAW_CHUNK
+                for c in np.unique(stack):
+                    start, mine = c * DRAW_CHUNK, stack == c
+                    drawn = e
+                    if c < len(states) - 1:
+                        rng.bit_generator.state = states[c]
+                        drawn = self.sample(rng, DRAW_CHUNK)
+                    x[mine] = value(drawn[rows[mine] - start])
+                return x
+
+            return _screened_quantile(*(np.concatenate(b) for b in zip(*bracket)), q, exact)
+        return self._calibrated(j, key, quantile)
+
     @property
     def repair_shift(self) -> float:
         """The auto PD repair's r: the 99th percentile of max(-lambda_min(E),
         0) over REPAIR_DRAWS draws of the law, bitwise that of an eigvalsh
-        on every draw.  :func:`_shift_bounds` brackets each draw's value and
-        eigvalsh runs only on the draws :func:`_screened_quantile` needs."""
-        def shift(rng):
-            e = np.concatenate(list(draw_chunks(self, REPAIR_DRAWS, rng)))
-            lo, hi = _shift_bounds(e)
-            return _screened_quantile(
-                lo, hi, 0.99, lambda rows: np.maximum(-np.linalg.eigvalsh(e[rows])[:, 0], 0.0))
-        return self._calibrated(0, None, shift)
+        on every draw, with :func:`_shift_bounds` as the screen."""
+        return self._screened(0, None, REPAIR_DRAWS, 0.99, _shift_bounds,
+                              lambda e: np.maximum(-np.linalg.eigvalsh(e)[:, 0], 0.0))
 
 
 @dataclass(frozen=True)
@@ -354,13 +369,10 @@ class LaplaceGramLaw(_CalibratedLaw):
         if not self.scale > 0:
             raise ConfigError(f"Laplace scale must be positive, got {self.scale}")
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """One (p+1)x(p+1) error, or a (size, p+1, p+1) stack equal to
-        ``size`` single draws in turn."""
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """An (n, p+1, p+1) stack of errors equal to n single draws in turn."""
         m = self.p + 1
-        return _one_or_stack(
-            lambda n: _symmetric(m, rng.laplace(0.0, self.scale, size=(n, m * (m + 1) // 2))),
-            size)
+        return _symmetric(m, rng.laplace(0.0, self.scale, size=(n, m * (m + 1) // 2)))
 
     def offdiag_abs_quantile(self, q: float) -> float:
         # |Laplace(b)| has CDF 1 - exp(-t/b).
@@ -408,14 +420,10 @@ class WishartGramLaw(_CalibratedLaw):
         if not self.l2 > 0:
             raise ConfigError("row-norm bound must be positive")
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """One (p+1)x(p+1) error, or a (size, p+1, p+1) stack whose
-        variates are drawn in bulk."""
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """An (n, p+1, p+1) stack of errors whose variates are drawn in bulk."""
         m = self.p + 1
-        return _one_or_stack(
-            lambda n: (self.l2**2 * _wishart_bartlett(m, self.k, n, rng)
-                       - self.k * self.l2**2 * np.eye(m)),
-            size)
+        return self.l2**2 * _wishart_bartlett(m, self.k, n, rng) - self.k * self.l2**2 * np.eye(m)
 
     def offdiag_abs_quantile(self, q: float) -> float:
         # An off-diagonal entry of Wishart(k, I) is sum_l x_l y_l with x, y
@@ -429,34 +437,10 @@ class WishartGramLaw(_CalibratedLaw):
 
     def ball_radius(self, alpha: float) -> float:
         """The (1-alpha) quantile of the spectral norm over QUANTILE_DRAWS
-        draws, bitwise the ``np.quantile`` of every draw's eigvalsh norm.
-
-        One pass keeps each draw's :func:`_spectral_norm_bounds` and the
-        stream's state before each DRAW_CHUNK stack, and
-        :func:`_screened_quantile` takes the quantile; the stacks holding
-        draws it needs exactly are drawn again from their saved states for
-        an eigvalsh.  The calibration stream is the law's own, so the
-        replay moves no other stream.
-        """
-        def radius(rng):
-            n = QUANTILE_DRAWS
-            states, bounds = [], []
-            for start in range(0, n, DRAW_CHUNK):
-                states.append(rng.bit_generator.state)
-                bounds.append(_spectral_norm_bounds(self.sample(rng, min(DRAW_CHUNK, n - start))))
-
-            def exact(rows):
-                norms, chunk = np.empty(rows.size), rows // DRAW_CHUNK
-                for c in np.unique(chunk):
-                    start, mine = c * DRAW_CHUNK, chunk == c
-                    rng.bit_generator.state = states[c]
-                    e = self.sample(rng, min(DRAW_CHUNK, n - start))
-                    norms[mine] = _spectral_norms(e[rows[mine] - start])
-                return norms
-
-            lo, hi = (np.concatenate(b) for b in zip(*bounds))
-            return _screened_quantile(lo, hi, 1.0 - alpha, exact)
-        return self._calibrated(2, alpha, radius)
+        draws, bitwise the ``np.quantile`` of every draw's eigvalsh norm,
+        with :func:`_spectral_norm_bounds` as the screen."""
+        return self._screened(2, alpha, QUANTILE_DRAWS, 1.0 - alpha, _spectral_norm_bounds,
+                              _spectral_norms)
 
     def central_draws(self, alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """n errors restricted to the spectral-norm ball of radius
@@ -502,9 +486,9 @@ class ZeroGramLaw:
     repair_shift: ClassVar[float] = 0.0
     calibration_stream: ClassVar[None] = None
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         m = self.p + 1
-        return _one_or_stack(lambda n: np.zeros((n, m, m)), size)
+        return np.zeros((n, m, m))
 
     def offdiag_abs_quantile(self, q: float) -> float:
         return 0.0
@@ -546,7 +530,7 @@ def laplace_gram_error(
 ) -> np.ndarray:
     """Symmetric (p+1)x(p+1) error with iid Laplace upper triangle."""
     scale = laplace_gram_scale(p, budget.epsilon, per_entry_sensitivity)
-    return LaplaceGramLaw(p, scale, budget, seed=0).sample(rng)  # sampling reads no seed
+    return LaplaceGramLaw(p, scale, budget, seed=0).sample(rng, 1)[0]  # reads no seed
 
 
 def wishart_gram_error(
@@ -557,7 +541,8 @@ def wishart_gram_error(
 ) -> np.ndarray:
     """One centered Wishart error draw for the Gram release (see
     :class:`WishartGramLaw`)."""
-    return WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget, seed=0).sample(rng)
+    law = WishartGramLaw(p, wishart_dof(p, budget), l2_row_bound, budget, seed=0)
+    return law.sample(rng, 1)[0]
 
 
 def _spectral_norms(e: np.ndarray) -> np.ndarray:

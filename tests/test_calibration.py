@@ -93,6 +93,12 @@ class TestPValue:
         med = float(np.median(null.sorted_samples))
         assert p_value(null, med) == pytest.approx(0.5, abs=1.0 / math.sqrt(100_000) * 3)
 
+    def test_nan_observed_is_a_config_error(self):
+        # A NaN compares false with every sample, which would read as the
+        # most significant value there is.
+        with pytest.raises(ConfigError, match="nan"):
+            p_value(_null(np.arange(1, 1001)), math.nan)
+
     def test_consistent_with_critical_value(self):
         null = _null(np.random.default_rng(2).standard_normal(50_000))
         for alpha in (0.01, 0.05, 0.2):

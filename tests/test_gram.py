@@ -188,18 +188,19 @@ class TestLawCalibration:
     def test_twenty_chains_draw_the_repair_calibration_once(self, monkeypatch):
         calls = []
 
-        def counted(law, n, rng):
+        def counted(law, rng, n):
             calls.append(n)
-            return real(law, n, rng)
+            return real(law, rng, n)
 
-        real = mechanisms.draw_chunks
-        monkeypatch.setattr(mechanisms, "draw_chunks", counted)
+        real = LaplaceGramLaw.sample
+        monkeypatch.setattr(LaplaceGramLaw, "sample", counted)
         gram = build_gram(toy_centered(p=3))
         law = gram_law(3, PrivacyBudget(1.0), Sensitivity(l1=0.5), 5)
         rng = np.random.default_rng(0)
         chains = [pd_repair(privatize_gram(gram, law, rng)) for _ in range(20)]
         assert len(chains) == 20
-        assert calls == [mechanisms.REPAIR_DRAWS]
+        # One stack of REPAIR_DRAWS, never redrawn, and one draw per release.
+        assert sorted(calls) == [1] * 20 + [mechanisms.REPAIR_DRAWS]
 
     def test_calibrations_do_not_depend_on_the_release_stream_or_order(self):
         gram = build_gram(toy_centered(p=2))
@@ -245,6 +246,12 @@ class TestPdRepair:
         chain = GramChain(g_star=base, g=base, n=10, law=ZeroGramLaw(1))
         with pytest.raises(RepairFailureError):
             pd_repair(chain, r=1.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_fixed_r_that_is_not_finite_is_a_config_error(self, r):
+        gram = build_gram(toy_centered())
+        with pytest.raises(ConfigError, match="finite"):
+            pd_repair(gram, r=r)
 
     def test_auto_policy_repairs_identity_gram(self):
         g = np.eye(3)
@@ -496,7 +503,7 @@ class TestBatchedEnumeration:
         # Laplace noise without repair: some submodel R^2 leaves [0, 1).
         gram = build_gram(toy_centered(p=4, seed=50))
         noisy = gram.g + LaplaceGramLaw(4, 30.0, PrivacyBudget(1.0), seed=0).sample(
-            np.random.default_rng(51))
+            np.random.default_rng(51), 1)[0]
         before = r2_clamp_counter.count
         post = enumerate_posterior(noisy, InfoCriterionSpec.bic(), n=gram.n)
         assert post.r2_clamps >= 1

@@ -838,7 +838,9 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("key, value, flag", [("no_noise", "false", "--no-noise"),
                                                   ("M", "ten", "--M"),
-                                                  ("prior", "jeffreys", "--prior")])
+                                                  ("prior", "jeffreys", "--prior"),
+                                                  ("g_value", "nan", "--g"),
+                                                  ("g_value", "inf", "--g")])
     def test_config_file_value_of_the_wrong_kind_is_config_error(self, tmp_path, capsys,
                                                                 key, value, flag):
         config = tmp_path / "cfg.json"
@@ -846,6 +848,16 @@ class TestOptionTable:
                                       "x": "read", "epsilon": 1.0, "M": 5, "seed": 1,
                                       key: value}))
         assert main(["test", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and flag in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("run, flag, value", [("select", "--r", "nan"),
+                                                  ("simulate", "--g", "inf"),
+                                                  ("calibrate-lrt", "--observed", "nan")])
+    def test_a_number_that_is_not_finite_is_config_error(self, tmp_path, capsys, run, flag,
+                                                         value):
+        assert main([*_RUNS[run], f"{flag}={value}", "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and flag in err["message"]
         assert not (tmp_path / "o").exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpms import linmodel
-from dpms.errors import DataError, DegenerateResponseError, NumericError, RankError
+from dpms.errors import ConfigError, DataError, DegenerateResponseError, NumericError, RankError
 from dpms.gram import build_gram
 from dpms.linmodel import (
     TOO_FEW_ROWS,
@@ -387,6 +387,13 @@ EVERY_STAT = {
     "lrt": InfoCriterionSpec.lrt(),
     "custom": InfoCriterionSpec.custom(1.5),
 }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("make", [GPriorSpec.fixed, InfoCriterionSpec.custom], ids=["g", "rho"])
+def test_spec_value_must_be_finite_and_nonnegative(make, value):
+    with pytest.raises(ConfigError, match="finite"):
+        make(value)
 
 
 class TestPerValueModelSizes:

@@ -310,7 +310,7 @@ class TestNoiseLaws:
             eps += math.sqrt(math.log(2e6) / (2 * 100_000))
         rng = np.random.default_rng(31)
         x = law.offdiag_abs_quantile(q)
-        entries = np.abs([law.sample(rng)[0, 1] for _ in range(n)])
+        entries = np.abs([law.sample(rng, 1)[0][0, 1] for _ in range(n)])
         assert np.mean(entries < x) <= q + eps
         assert np.mean(entries <= x) >= q - eps
 
@@ -324,16 +324,17 @@ class TestNoiseLaws:
 
 
 class TestStackedGramDraws:
-    """For the Laplace and zero laws ``sample(rng, size=N)`` equals N
-    single draws taken in turn, so a stacked draw leaves the RNG stream
-    where the serial loop left it.  A Wishart stack draws in bulk."""
+    """For the Laplace and zero laws ``sample(rng, N)`` equals N single
+    draws ``sample(rng, 1)[0]`` taken in turn, so a stacked draw leaves
+    the RNG stream where the serial loop left it.  A Wishart stack draws
+    in bulk."""
 
     @pytest.mark.parametrize("name", ["zero", "laplace"])
     def test_law_stack_equals_single_draws(self, name):
         law = GRAM_LAWS[name]
         stacked = law.sample(np.random.default_rng(33), 40)
         rng = np.random.default_rng(33)
-        sequential = np.stack([law.sample(rng) for _ in range(40)])
+        sequential = np.stack([law.sample(rng, 1)[0] for _ in range(40)])
         assert stacked.shape == (40, 3, 3)
         assert np.array_equal(stacked, sequential)
         # The stream ends in the same place.
@@ -361,7 +362,7 @@ class TestStackedGramDraws:
 
     def test_wishart_single_draw_is_the_bartlett_product(self):
         law = GRAM_LAWS["wishart"]
-        got = law.sample(np.random.default_rng(37))
+        got = law.sample(np.random.default_rng(37), 1)[0]
         rng = np.random.default_rng(37)
         a = np.zeros((3, 3))
         a[np.tril_indices(3, k=-1)] = rng.standard_normal(3)
@@ -374,11 +375,18 @@ def _eigvalsh_norms(e):
     return np.abs(np.linalg.eigvalsh(e)).max(axis=-1)
 
 
+def _draw_chunks(law, n, rng):
+    """n draws of ``law`` as consecutive stacks of at most DRAW_CHUNK, the
+    stacks the calibrations draw."""
+    for start in range(0, n, mechanisms.DRAW_CHUNK):
+        yield law.sample(rng, min(mechanisms.DRAW_CHUNK, n - start))
+
+
 def _eigvalsh_radius(law, alpha):
     """The ball radius from an eigvalsh on every calibration draw."""
     rng = child_rng(law.seed, CALIBRATION, 2)
     norms = np.concatenate([_eigvalsh_norms(e) for e in
-                            mechanisms.draw_chunks(law, mechanisms.QUANTILE_DRAWS, rng)])
+                            _draw_chunks(law, mechanisms.QUANTILE_DRAWS, rng)])
     return float(np.quantile(norms, 1.0 - alpha))
 
 
@@ -386,7 +394,7 @@ def _eigvalsh_shift(law):
     """The repair shift from an eigvalsh on every calibration draw."""
     rng = child_rng(law.seed, CALIBRATION, 0)
     mins = np.concatenate([np.linalg.eigvalsh(e)[:, 0] for e in
-                           mechanisms.draw_chunks(law, mechanisms.REPAIR_DRAWS, rng)])
+                           _draw_chunks(law, mechanisms.REPAIR_DRAWS, rng)])
     return float(np.quantile(np.maximum(-mins, 0.0), 0.99))
 
 
@@ -514,6 +522,26 @@ class TestSpectralNormScreen:
     def test_full_size_radius_is_the_eigvalsh_quantile(self, alpha):
         law = _law("wishart", 5)
         assert law.ball_radius(alpha) == _eigvalsh_radius(law, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_radius_replays_every_stack_but_the_last(self, monkeypatch, alpha):
+        # Stacks of 2,000, 2,000 and 500 with no bounds at all: every draw
+        # needs its eigvalsh, so the pass replays the first two stacks from
+        # their saved states and reads the last one from memory.
+        monkeypatch.setattr(mechanisms, "QUANTILE_DRAWS", 4500)
+        monkeypatch.setattr(mechanisms, "_spectral_norm_bounds",
+                            lambda e: (np.zeros(len(e)), np.full(len(e), np.inf)))
+        assert mechanisms.DRAW_CHUNK == 2000
+        law, calls, real = _law("wishart", 5), [], WishartGramLaw.sample
+
+        def counted(law, rng, n):
+            calls.append(n)
+            return real(law, rng, n)
+
+        monkeypatch.setattr(WishartGramLaw, "sample", counted)
+        radius = law.ball_radius(alpha)
+        assert calls == [2000, 2000, 500, 2000, 2000]
+        assert radius == _eigvalsh_radius(law, alpha)
 
     @pytest.mark.parametrize("screen", ["exact", "none"])
     @pytest.mark.parametrize("p", [1, 5, 12, 20])
